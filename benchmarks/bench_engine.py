@@ -1,6 +1,6 @@
 """Engine micro-benchmark: simulated cycles/second across generations.
 
-Measures the accelerated simulation engines (``fast``, ``jit``) against
+Measures the accelerated per-cell engine (``fast``) against
 ``reference`` on a grid of cells at the fig10 configuration
 (``repro.eval.experiments.default_config``) and reports
 simulated-cycles-per-wall-second plus the speedup per cell, per class
@@ -12,9 +12,9 @@ The ``batch`` engine is measured differently: its payoff is
 amortizing python dispatch across many compatible cells, so instead of
 per-cell timings it gets a ``campaign`` class — a whole sweep
 (machine shapes x Table 2 workloads x the 17-scheme sweep) timed as a
-serial jit loop vs one grouped ``run_workloads_batch`` call, reported
+serial fast loop vs one grouped ``run_workloads_batch`` call, reported
 in cells/second.  Its ``geomean_by_class['campaign']`` is the
-batch-over-jit throughput ratio (baseline ``jit``, not reference), so
+batch-over-fast throughput ratio (baseline ``fast``, not reference), so
 CI gates it with an absolute floor: ``--floor batch:campaign:2.0``.
 
 The output file is a *trajectory*: one ``generations`` entry per
@@ -23,8 +23,7 @@ updates that engine's entry and leaves the others as history::
 
     {"benchmark": "bench_engine", "config": {...},
      "generations": [{"engine": "fast",  "geomean_by_class": {...}, ...},
-                     {"engine": "jit",   "geomean_by_class": {...}, ...},
-                     {"engine": "batch", "baseline": "jit", ...}]}
+                     {"engine": "batch", "baseline": "fast", ...}]}
 
 Pre-trajectory flat reports (a top-level ``cells`` list) are migrated
 to a single ``fast`` generation on first rewrite.
@@ -35,19 +34,17 @@ Two front ends:
   and to regenerate ``BENCH_engine.json`` at the repo root::
 
       python benchmarks/bench_engine.py --out BENCH_engine.json
-      python benchmarks/bench_engine.py --engines jit --classes multithreaded
+      python benchmarks/bench_engine.py --engines fast --classes multithreaded
       python benchmarks/bench_engine.py --engines batch --classes campaign \\
           --scale 0.1 --check --floor batch:campaign:2.0
       python benchmarks/bench_engine.py --scale 0.1 --check \\
-          --baseline BENCH_engine.json --tolerance 0.25 \\
-          --floor jit:multithreaded:2.0 --floor jit/fast:multithreaded:1.2
+          --baseline BENCH_engine.json --tolerance 0.25
 
   ``--check`` exits non-zero when any measured engine's overall geomean
   drops below ``--threshold``; ``--baseline`` additionally compares the
   fresh per-class geomeans against a committed trajectory with a
   relative ``--tolerance`` band, and ``--floor`` pins absolute
-  per-class minima (``engine:class:value``) or engine-over-engine
-  ratios (``engineA/engineB:class:value``).
+  per-class minima (``engine:class:value``).
 
 * pytest-benchmark timed bodies (``pytest benchmarks/bench_engine.py``)
   for trend tracking alongside the other artifact benchmarks.
@@ -55,8 +52,7 @@ Two front ends:
 The default grid covers the engines' operating envelope: the
 single-thread baseline (where burst execution and idle-cycle skipping
 dominate) and multithreaded Table 2 cells across scheme families (where
-merge memoization, compiled plans and the generated cycle loops carry
-the load).
+the pair table and compiled scheme plans carry the load).
 """
 
 from __future__ import annotations
@@ -75,11 +71,11 @@ from repro.kernels import by_name, compile_spec
 from repro.sim import run_workload
 from repro.workloads import workload_programs
 
-#: engines measured per cell against the reference baseline, oldest first.
-ENGINES = ("fast", "jit")
+#: engines measured per cell against the reference baseline.
+ENGINES = ("fast",)
 
 #: the campaign engine.  Its win is amortization across cells, so it is
-#: measured on whole sweeps (cells/second vs a serial jit run) in the
+#: measured on whole sweeps (cells/second vs a serial fast run) in the
 #: ``campaign`` class rather than per cell against reference.
 CAMPAIGN_ENGINE = "batch"
 
@@ -191,20 +187,18 @@ def _generation(measured: list[dict], engine: str) -> dict:
 
 def measure_campaign(config, machines=CAMPAIGN_MACHINES,
                      repeats: int = 1) -> dict:
-    """Time one campaign sweep: serial jit vs grouped batch.
+    """Time one campaign sweep: serial fast vs grouped batch.
 
     Builds the ``machines`` x Table 2 workloads x 17-scheme grid, runs
-    it once per engine strategy — a per-cell jit loop (what a serial
-    campaign does today) vs one grouped ``run_workloads_batch`` call
-    with ST cells falling back to solo jit (what the batch runner
-    does) — and reports cells/second for each.  Every cell's IPC must
-    agree between the two runs, so the comparison is pure wall-clock.
+    it once per engine strategy — a per-cell fast loop (what a serial
+    campaign runs) vs one grouped ``run_workloads_batch`` call with ST
+    cells run solo on fast (what the batch runner does) — and reports
+    cells/second for each.  Every cell's IPC must agree between the two
+    runs, so the comparison is pure wall-clock.
 
     Run this at campaign scale (``--scale 0.1``-ish): short cells are
     the batch engine's operating regime — python dispatch per cell is
-    what it amortizes.  At full-scale run lengths the jit engine's
-    compiled per-cell loops amortize the same overhead themselves and
-    the two converge (~1x).
+    what it amortizes.
     """
     from repro.arch import scaled_machine
     from repro.merge.registry import PAPER_SCHEMES
@@ -212,7 +206,7 @@ def measure_campaign(config, machines=CAMPAIGN_MACHINES,
     from repro.workloads import WORKLOAD_ORDER, workload_specs
 
     schemes = ["ST", "1S"] + list(PAPER_SCHEMES)
-    jit_cfg = dataclasses.replace(config, engine="jit")
+    fast_cfg = dataclasses.replace(config, engine="fast")
     tasks = []
     for clusters, width in machines:
         m = scaled_machine(clusters, width)
@@ -222,39 +216,37 @@ def measure_campaign(config, machines=CAMPAIGN_MACHINES,
                   for wl in WORKLOAD_ORDER for s in schemes]
     multi = [(i, t) for i, t in enumerate(tasks) if t[1] != "ST"]
     solo = [(i, t) for i, t in enumerate(tasks) if t[1] == "ST"]
-    for _, (p, s) in multi[:len(schemes)]:  # warm the jit loop cache
-        run_workload(p, s, jit_cfg)
 
-    best = {"jit": math.inf, "batch": math.inf}
+    best = {"fast": math.inf, "batch": math.inf}
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        jit_ipc = [run_workload(p, s, jit_cfg).ipc for p, s in tasks]
-        best["jit"] = min(best["jit"], time.perf_counter() - t0)
+        fast_ipc = [run_workload(p, s, fast_cfg).ipc for p, s in tasks]
+        best["fast"] = min(best["fast"], time.perf_counter() - t0)
 
         batch_ipc = [None] * len(tasks)
         t0 = time.perf_counter()
         results = run_workloads_batch([t for _, t in multi], config)
         for (i, (p, s)), res in zip(multi, results):
-            if res is None:  # unbatchable cell: runner falls back to jit
-                res = run_workload(p, s, jit_cfg)
+            if res is None:  # unbatchable cell: runner falls back to fast
+                res = run_workload(p, s, fast_cfg)
             batch_ipc[i] = res.ipc
         for i, (p, s) in solo:
-            batch_ipc[i] = run_workload(p, s, jit_cfg).ipc
+            batch_ipc[i] = run_workload(p, s, fast_cfg).ipc
         best["batch"] = min(best["batch"], time.perf_counter() - t0)
 
-    if batch_ipc != jit_ipc:  # defense in depth
-        bad = sum(a != b for a, b in zip(batch_ipc, jit_ipc))
+    if batch_ipc != fast_ipc:  # defense in depth
+        bad = sum(a != b for a, b in zip(batch_ipc, fast_ipc))
         raise AssertionError(
-            f"batch and jit disagree on {bad}/{len(tasks)} campaign cells")
+            f"batch and fast disagree on {bad}/{len(tasks)} campaign cells")
     out = {
         "workload": "sweep",
         "scheme": f"{len(machines)}m x {len(WORKLOAD_ORDER)}wl x "
                   f"{len(schemes)}s",
         "class": "campaign",
         "cells": len(tasks),
-        "speedup": round(best["jit"] / best["batch"], 3),
+        "speedup": round(best["fast"] / best["batch"], 3),
     }
-    for engine in ("jit", "batch"):
+    for engine in ("fast", "batch"):
         out[engine] = {
             "seconds": round(best[engine], 6),
             "cells_per_sec": round(len(tasks) / best[engine], 2),
@@ -265,15 +257,15 @@ def measure_campaign(config, machines=CAMPAIGN_MACHINES,
 def _campaign_generation(measured: list[dict]) -> dict:
     """The batch engine's trajectory entry.
 
-    ``geomean_by_class['campaign']`` IS the batch-over-jit
-    cells-per-second ratio (the baseline is a serial jit run, not
+    ``geomean_by_class['campaign']`` IS the batch-over-fast
+    cells-per-second ratio (the baseline is a serial fast run, not
     reference), so an absolute ``--floor batch:campaign:N`` gates the
     campaign throughput multiple directly.
     """
     speedups = [c["speedup"] for c in measured]
     return {
         "engine": CAMPAIGN_ENGINE,
-        "baseline": "jit",
+        "baseline": "fast",
         "cells": measured,
         "geomean_speedup": round(_geomean(speedups), 3),
         "geomean_by_class": {"campaign": round(_geomean(speedups), 3)},
@@ -373,19 +365,13 @@ def upsert_generations(existing: dict | None, report: dict) -> dict:
 # ----------------------------------------------------------------------
 # regression gates (CI perf-smoke)
 # ----------------------------------------------------------------------
-def parse_floor(spec: str) -> tuple[str, str | None, str, float]:
-    """``engine:class:value`` or ``engineA/engineB:class:value`` ->
-    ``(engine, over, class, value)``."""
+def parse_floor(spec: str) -> tuple[str, str, float]:
+    """``engine:class:value`` -> ``(engine, class, value)``."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ValueError(
-            f"floor {spec!r} must be 'engine:class:value' or "
-            f"'engineA/engineB:class:value'")
+        raise ValueError(f"floor {spec!r} must be 'engine:class:value'")
     engine, cls, value = parts
-    over = None
-    if "/" in engine:
-        engine, over = engine.split("/", 1)
-    return engine, over, cls, float(value)
+    return engine, cls, float(value)
 
 
 def check_report(report: dict, *, threshold: float = 1.0,
@@ -400,9 +386,8 @@ def check_report(report: dict, *, threshold: float = 1.0,
       run) are skipped, as are legacy 0.0 placeholders for empty
       classes;
     * each ``floors`` entry pins an absolute per-class geomean
-      (``engine:class:value``) or an engine-over-engine ratio
-      (``engineA/engineB:class:value``) — an explicitly named floor on
-      an unmeasured engine or class is a failure, never a silent pass.
+      (``engine:class:value``) — an explicitly named floor on an
+      unmeasured engine or class is a failure, never a silent pass.
     """
     failures = []
     fresh = {g["engine"]: g for g in report["generations"]}
@@ -423,7 +408,7 @@ def check_report(report: dict, *, threshold: float = 1.0,
                     failures.append(
                         f"{engine}/{cls}: geomean {got} regressed below "
                         f"baseline {value} - {tolerance:.0%}")
-    for engine, over, cls, value in floors:
+    for engine, cls, value in floors:
         gen = fresh.get(engine)
         if gen is None:
             failures.append(f"floor {engine}:{cls}: engine not measured")
@@ -432,20 +417,9 @@ def check_report(report: dict, *, threshold: float = 1.0,
         if got is None:
             failures.append(f"floor {engine}:{cls}: class not measured")
             continue
-        if over is not None:
-            denom = fresh.get(over, {}).get("geomean_by_class", {}) \
-                .get(cls)
-            if not denom:
-                failures.append(
-                    f"floor {engine}/{over}:{cls}: denominator not "
-                    f"measured")
-                continue
-            got = got / denom
-            label = f"{engine}/{over}:{cls} ratio"
-        else:
-            label = f"{engine}:{cls} geomean"
         if got < value:
-            failures.append(f"floor: {label} {got:.3f} < {value}")
+            failures.append(
+                f"floor: {engine}:{cls} geomean {got:.3f} < {value}")
     return failures
 
 
@@ -488,8 +462,8 @@ def main(argv=None) -> int:
                     help="allowed relative per-class regression vs "
                          "--baseline (default 0.25)")
     ap.add_argument("--floor", action="append", default=[],
-                    help="absolute gate 'engine:class:value' or ratio "
-                         "gate 'engineA/engineB:class:value' (repeatable)")
+                    help="absolute gate 'engine:class:value' "
+                         "(repeatable)")
     args = ap.parse_args(argv)
 
     split = (lambda s: tuple(x for x in s.split(",") if x))
@@ -530,11 +504,11 @@ def main(argv=None) -> int:
         if engine == CAMPAIGN_ENGINE:
             for c in gen["cells"]:
                 print(f"campaign [{c['scheme']}] ({c['cells']} cells): "
-                      f"jit {c['jit']['cells_per_sec']:.1f} cells/s   "
+                      f"fast {c['fast']['cells_per_sec']:.1f} cells/s   "
                       f"batch {c['batch']['cells_per_sec']:.1f} cells/s   "
                       f"{c['speedup']:.2f}x")
             print(f"[{engine}] geomean [campaign]: "
-                  f"{gen['geomean_by_class']['campaign']:.2f}x over jit")
+                  f"{gen['geomean_by_class']['campaign']:.2f}x over fast")
             continue
         width = max(len(c["workload"]) for c in gen["cells"])
         for c in gen["cells"]:
@@ -589,11 +563,6 @@ def test_bench_reference_engine(benchmark):
 
 def test_bench_fast_engine(benchmark):
     ipc = benchmark(_bench_body("fast"))
-    assert ipc > 0
-
-
-def test_bench_jit_engine(benchmark):
-    ipc = benchmark(_bench_body("jit"))
     assert ipc > 0
 
 

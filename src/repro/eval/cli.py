@@ -116,7 +116,7 @@ def _add_sim_args(ap: argparse.ArgumentParser) -> None:
                     help="simulation length multiplier (default 1.0)")
     ap.add_argument("--engine", default="fast",
                     choices=sorted(ENGINES),
-                    help="simulation engine: 'fast' (default), 'jit', "
+                    help="simulation engine: 'fast' (default), "
                          "'batch' (grouped lockstep for campaign grids) "
                          "or 'reference' — all bit-identical, the "
                          "reference is the executable specification")

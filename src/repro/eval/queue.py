@@ -58,6 +58,7 @@ from repro.eval.experiments import (
 from repro.eval.runner import Cell, run_cell_detailed, run_cells_batch
 from repro.eval.store import RunStore, config_fingerprint, run_fingerprint
 from repro.eval.sweep import sweep_cells, sweep_threads
+from repro.sim import ENGINES
 
 __all__ = [
     "CampaignSpec",
@@ -169,6 +170,11 @@ class CampaignSpec:
         for tag in ("", self.machine, *self.machines):
             if tag:
                 preset_machine(tag)  # unknown presets raise here, early
+        # likewise an unregistered engine: a stored spec naming one must
+        # stop a worker before it claims, not fail every cell it claims.
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r}; choose "
+                             f"from {sorted(ENGINES)}")
 
     # -- execution context ------------------------------------------------
     def config(self):

@@ -26,7 +26,7 @@ fingerprint therefore ignores the engine field).
 ``config.engine == "batch"`` switches grid execution to the grouped
 path: instead of one simulation per cell, compatible pending cells
 advance together in an array-structured lockstep group
-(:func:`repro.sim.batch.run_workloads_batch`), with per-cell JIT
+(:func:`repro.sim.batch.run_workloads_batch`), with per-cell fast-engine
 fallback for cells the group cannot model.  Results, store writes and
 resume behave exactly as in the per-cell paths — same keys, same
 values, bit-identical.
@@ -43,7 +43,6 @@ from repro.arch import paper_machine
 from repro.kernels import by_name, compile_spec
 from repro.kernels.cache import get_default_cache, set_cache_dir
 from repro.sim import run_workload
-from repro.sim.codegen import get_loop_cache, set_loop_cache_dir
 from repro.workloads import workload_specs
 
 __all__ = ["Cell", "GridResult", "run_cell", "run_cell_detailed",
@@ -170,11 +169,10 @@ def run_cell_detailed(cell: Cell, config, machine=None, options=None
     """Simulate one grid cell; returns ``(ipc, meta)``.
 
     ``meta`` is diagnostic provenance for the cell — the engine that ran
-    it plus its :class:`~repro.sim.engine.EngineStats` counters (memo
-    hit rates, codegen cache activity, compile seconds, fallbacks) — so
-    a result store can explain *why* a cell was slow.  It is never part
-    of the cell's value: engines are bit-identical, and stores ignore
-    metadata for resume/merge purposes.
+    it plus its :class:`~repro.sim.engine.EngineStats` counters (batch
+    group activity) — so a result store can explain how a cell ran.  It
+    is never part of the cell's value: engines are bit-identical, and
+    stores ignore metadata for resume/merge purposes.
     """
     machine = machine or paper_machine()
     programs = cell_programs(cell, machine, options)
@@ -198,7 +196,7 @@ def run_cells_batch(cells, config, machine=None) -> list:
     machine and config tags are already resolved by then) and each
     group advances in one array-structured lockstep simulation.  A cell
     the lockstep loop cannot model falls back to the solo path, which
-    for the batch engine delegates to the per-cell JIT.  Returns
+    for the batch engine delegates to the per-cell fast engine.  Returns
     ``(key, ipc, meta)`` per cell, in input order; every value is
     bit-identical to the same cell run alone.
     """
@@ -216,7 +214,7 @@ def run_cells_batch(cells, config, machine=None) -> list:
                  for cell in vcells]
         results = run_workloads_batch(tasks, cfg)
         for cell, res in zip(vcells, results):
-            if res is None:  # straggler: per-cell fallback (solo JIT)
+            if res is None:  # straggler: per-cell fallback (solo fast)
                 value, meta = run_cell_detailed(cell, config, machine)
                 out[cell.key] = (cell.key, value, meta)
             else:
@@ -229,11 +227,9 @@ def run_cells_batch(cells, config, machine=None) -> list:
 _worker_state: dict = {}
 
 
-def _worker_init(config, machine, cache_dir, loop_cache_dir) -> None:
+def _worker_init(config, machine, cache_dir) -> None:
     if cache_dir:
         set_cache_dir(cache_dir)
-    if loop_cache_dir:
-        set_loop_cache_dir(loop_cache_dir)
     _worker_state["config"] = config
     _worker_state["machine"] = machine
 
@@ -306,7 +302,6 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
             pending.append(cell)
 
     prev_cache_dir = get_default_cache().directory
-    prev_loop_dir = get_loop_cache().directory
     if pending and store is not None and prev_cache_dir is None:
         if hasattr(store, "programs_dir"):
             programs = store.programs_dir()
@@ -315,11 +310,6 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
             programs = os.path.join(path, "programs") if path else None
         if programs:
             set_cache_dir(programs)
-            # the generated-loop disk cache (JitEngine) shares the same
-            # process-safe directory, so a scheme's cycle loop compiles
-            # once per host, not once per worker process.
-            if prev_loop_dir is None:
-                set_loop_cache_dir(programs)
 
     def record(key: str, value: float, meta: dict | None) -> None:
         result.values[key] = value
@@ -341,8 +331,7 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_worker_init,
-                initargs=(config, machine, get_default_cache().directory,
-                          get_loop_cache().directory),
+                initargs=(config, machine, get_default_cache().directory),
             ) as pool:
                 futures = {pool.submit(_worker_run_batch, shard)
                            for shard in shards}
@@ -366,8 +355,7 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_worker_init,
-                initargs=(config, machine, get_default_cache().directory,
-                          get_loop_cache().directory),
+                initargs=(config, machine, get_default_cache().directory),
             ) as pool:
                 futures = {pool.submit(_worker_run, cell) for cell in pending}
                 while futures:
@@ -378,7 +366,6 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
                         record(key, value, meta)
     finally:
         set_cache_dir(prev_cache_dir)
-        set_loop_cache_dir(prev_loop_dir)
 
     if store is not None:
         store.update_manifest(experiment, cells=len(cells),

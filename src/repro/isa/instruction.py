@@ -74,12 +74,9 @@ class MultiOp:
         n_ops: number of real operations (IPC numerator contribution).
         mem_ops: memory operations, in op order.
         branch: the branch operation, if any.
-        address: static byte address (assigned by codegen; -1 = unset).
+        address: static byte address (assigned at program layout;
+            -1 = unset).
         size: encoded size in bytes (4 bytes per syllable, min 4).
-        sig: process-wide interned id of ``(mask, packed)`` (assigned by
-            :func:`repro.sim.codegen.ensure_sigs`; -1 = unset).  Merge
-            decisions depend on a MultiOp only through that pair, so
-            engines compose memo keys from these small ids.
     """
 
     __slots__ = (
@@ -93,7 +90,6 @@ class MultiOp:
         "branch",
         "address",
         "size",
-        "sig",
     )
 
     def __init__(self, ops: tuple[Operation, ...], n_clusters: int):
@@ -133,7 +129,6 @@ class MultiOp:
         self.branch = branch
         self.address = -1
         self.size = max(4, 4 * len(ops))
-        self.sig = -1
 
     def validate(self, machine) -> None:
         """Raise ValueError unless this instruction is legal on ``machine``.

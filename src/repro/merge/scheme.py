@@ -49,8 +49,8 @@ class SchemePlan:
     steps are unrolled at compile time into one straight-line Python
     function over flat ``(mask, packed)`` pairs (mask ``-1`` marks an
     invalid port) returning the selected port indices.  The fast engine
-    calls it on merge-memo misses — no packets, no stack, the machine's
-    cap constants inlined as literals.
+    calls it whenever three or more ports are ready — no packets, no
+    stack, the machine's cap constants inlined as literals.
 
     :attr:`pair_table` precomputes the two-valid-ports case: with exactly
     two valid leaves every other merge block passes through, so the

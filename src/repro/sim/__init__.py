@@ -9,7 +9,6 @@ from repro.sim.engine import (
     Engine,
     EngineStats,
     FastEngine,
-    JitEngine,
     ReferenceEngine,
     make_engine,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "Engine",
     "EngineStats",
     "FastEngine",
-    "JitEngine",
     "MTCore",
     "Multitasker",
     "PerfectCache",

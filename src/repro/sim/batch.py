@@ -1,11 +1,10 @@
-"""Generation-3 engine: array-structured lockstep simulation of cell groups.
+"""Batch engine: array-structured lockstep simulation of cell groups.
 
-The first two engine generations (:class:`~repro.sim.engine.FastEngine`,
-:class:`~repro.sim.engine.JitEngine`) accelerate *one* cell at a time;
-every campaign still pays the Python interpreter once per simulated
-cycle per cell.  :class:`BatchEngine` amortizes that cost *across* the
-campaign: :func:`run_workloads_batch` takes a group of independent cells
-— mixed machines and schemes are fine, only the
+The per-cell engine (:class:`~repro.sim.engine.FastEngine`) accelerates
+*one* cell at a time; every campaign still pays the Python interpreter
+once per simulated cycle per cell.  :class:`BatchEngine` amortizes that
+cost *across* the campaign: :func:`run_workloads_batch` takes a group of
+independent cells — mixed machines and schemes are fine, only the
 :class:`~repro.sim.SimConfig` must be shared — and steps them in
 lockstep with array-structured state: per-cell cycle counters, fetch
 cursors, cache tag arrays and ready masks laid out as numpy arrays, so
@@ -42,7 +41,7 @@ be forced with ``REPRO_NO_NATIVE=1``).
 
 numpy is an *optional* dependency: importing this module is always
 safe, and :class:`BatchEngine` on a single cell delegates to an
-internal :class:`~repro.sim.engine.JitEngine` (no numpy needed).  Only
+internal :class:`~repro.sim.engine.FastEngine` (no numpy needed).  Only
 the grouped path (:func:`run_workloads_batch`) requires numpy and
 raises a clear error when it is missing.
 """
@@ -53,7 +52,7 @@ import random
 import warnings
 
 from repro.merge.registry import get_scheme
-from repro.sim.engine import ENGINES, Engine, EngineStats, JitEngine
+from repro.sim.engine import ENGINES, Engine, EngineStats, FastEngine
 from repro.sim.os_sched import RunResult
 from repro.sim.stats import SimStats
 
@@ -73,7 +72,7 @@ def _numpy():
     except ImportError as exc:  # pragma: no cover - numpy present in CI
         raise ImportError(
             "the batch engine's grouped lockstep path needs numpy; "
-            "install numpy or run with --engine jit/fast/reference"
+            "install numpy or run with --engine fast/reference"
         ) from exc
     return numpy
 
@@ -119,10 +118,10 @@ class _BatchCache:
 
 
 class BatchEngine(Engine):
-    """Generation-3 engine: lockstep groups, JIT-identical solo cells.
+    """Lockstep groups; solo cells run on the fast engine.
 
     As a plain per-core engine (``MTCore(engine="batch")``) it delegates
-    to an internal :class:`JitEngine` — a group of one gains nothing
+    to an internal :class:`FastEngine` — a group of one gains nothing
     from arrays, and delegation keeps the solo path bit-identical by
     construction.  The grouped lockstep path is
     :func:`run_workloads_batch`, which the eval runner and queue workers
@@ -132,7 +131,7 @@ class BatchEngine(Engine):
     name = "batch"
 
     def __init__(self):
-        self._solo = JitEngine()
+        self._solo = FastEngine()
 
     def run(self, core, max_cycles: int, instr_limit: int | None = None) -> str:
         return self._solo.run(core, max_cycles, instr_limit)

@@ -38,7 +38,7 @@ class SimConfig:
     seed: int = 1
     rotate_priority: bool = True
     max_cycles: int | None = None
-    #: simulation engine ('reference', 'fast' or 'jit').  All are
+    #: simulation engine ('reference', 'fast' or 'batch').  All are
     #: bit-identical in every reported statistic (enforced by the
     #: differential suite in tests/test_engine.py); the choice affects
     #: wall-clock speed only.

@@ -7,7 +7,8 @@ the core's :class:`~repro.sim.thread.ThreadState` contexts, caches,
 scheduler can drive any engine across timeslices and context switches
 without knowing which one is plugged in.
 
-Three implementations ship:
+Two per-cell implementations ship here (the grouped lockstep engine
+lives in :mod:`repro.sim.batch`):
 
 * :class:`ReferenceEngine` — the executable specification: a literal
   cycle-by-cycle loop (fetch, merge via the recursive scheme AST, issue)
@@ -25,26 +26,12 @@ Three implementations ship:
      resuming a generator per fetch;
   3. *compiled scheme plans*: :meth:`~repro.merge.scheme.Scheme.compile`
      lowers the merge AST once into a flat postorder program evaluated
-     with an explicit stack;
-  4. *memoized merge decisions*: the selection outcome is a pure
-     function of the ready ports' ``(mask, packed)`` signatures, and
-     real kernels exhibit only a handful of distinct VLIW footprints, so
-     a bounded memo answers almost every merge cycle with one dict
-     lookup and zero packet allocations.
-
-* :class:`JitEngine` — bit-identical again, fastest on multithreaded
-  cells: :mod:`repro.sim.codegen` generates one specialized Python
-  run loop per (scheme geometry, machine shape) with all per-thread
-  state hoisted into locals, merge signatures computed at fetch time,
-  the memo probe and cache LRU bookkeeping baked into the source, and
-  per-slot solo bursts.  Shapes the generated loop does not cover
-  (partially occupied cores, custom cache types) transparently fall
-  back to an internal :class:`FastEngine`.
+     with an explicit stack, with a precomputed pair table answering
+     two-ready cycles in one predicate.
 
 Every engine reports an :class:`EngineStats` snapshot
-(:meth:`Engine.engine_stats`) — memo hits/misses/drops, codegen cache
-hits and compile seconds — which the eval layer surfaces as cell
-metadata so campaign stores record *why* a cell was slow.
+(:meth:`Engine.engine_stats`), which the eval layer surfaces as cell
+metadata so campaign stores record which engine ran a cell and how.
 
 The differential suite (``tests/test_engine.py``) locks the engines
 together across the full scheme registry and every Table 2 workload.
@@ -61,7 +48,6 @@ __all__ = [
     "Engine",
     "EngineStats",
     "FastEngine",
-    "JitEngine",
     "ReferenceEngine",
     "make_engine",
 ]
@@ -71,23 +57,11 @@ __all__ = [
 class EngineStats:
     """Acceleration-structure counters one engine accumulated.
 
-    All engines expose the same shape (reference reports zeros), so
-    cell metadata is uniform across engines.  ``memo_*`` counters
-    cover merge-memo probes on contested (>= 2 ready ports) cycles;
-    ``codegen_*`` counters cover the JIT engine's loop-cache activity;
-    ``fallback_runs`` counts timeslices the JIT engine delegated to
-    its internal fast engine.
+    All engines expose the same shape (per-cell engines report zeros),
+    so cell metadata is uniform across engines.
     """
 
     engine: str
-    memo_hits: int = 0
-    memo_misses: int = 0
-    memo_drops: int = 0
-    codegen_memory_hits: int = 0
-    codegen_disk_hits: int = 0
-    codegen_compiles: int = 0
-    compile_seconds: float = 0.0
-    fallback_runs: int = 0
     #: grouped-lockstep activity (batch engine only, zeros elsewhere):
     #: cells sharing this cell's group, groups run, solo fallbacks.
     batch_cells: int = 0
@@ -102,7 +76,7 @@ class Engine:
     """Protocol for simulation engines (duck-typed; subclassing optional).
 
     An engine owns no simulation state of its own beyond private
-    acceleration structures (memos, plans): everything observable lives
+    acceleration structures (plans, buffers): everything observable lives
     on the core and its threads, which is what makes engines swappable
     mid-experiment and bit-comparable to each other.
     """
@@ -222,11 +196,10 @@ class FastEngine(Engine):
       block passes it through unchanged (``Node.eval`` semantics), so
       the selection is that port — no plan evaluation needed.  Measured
       on the paper's workloads this covers the large majority of cycles.
-    * *merge memo*: with >= 2 ready ports the selection is a pure
-      function of the per-port instruction signatures — the SMT/CSMT
-      predicates read nothing but ``(mask, packed)`` — so decisions are
-      memoized under a key composed of small per-``MultiOp`` signature
-      ids.  A hit replays exactly what the compiled plan would select.
+    * *pair table*: with exactly two ready ports the selection is one
+      precomputed ancestor predicate over the two instructions'
+      ``(mask, packed)``; three or more ready ports evaluate the
+      compiled plan.
     * *guaranteed-hit caches*: an access to the cache line touched by
       the immediately preceding access of the same cache is a hit and
       leaves the true-LRU state unchanged (the MRU entry is re-appended
@@ -239,43 +212,8 @@ class FastEngine(Engine):
 
     name = "fast"
 
-    #: merge-decision memo entries kept before the memo is dropped.
-    MEMO_LIMIT = 1 << 17
     #: fetch records materialized per stream refill.
     STREAM_BATCH = 512
-
-    def __init__(self, memo_limit: int | None = None,
-                 stream_batch: int | None = None):
-        self.memo_limit = self.MEMO_LIMIT if memo_limit is None \
-            else max(1, memo_limit)
-        self.stream_batch = self.STREAM_BATCH if stream_batch is None \
-            else max(1, stream_batch)
-        self._memo: dict = {}
-        #: MultiOp -> small signature id composing the memo key.  Two
-        #: instructions with equal (mask, packed) share an id — the merge
-        #: predicates read nothing else — via the _sig_values table.
-        self._sig: dict = {}
-        self._sig_values: dict = {}
-        #: adaptive memoization: workloads whose joint ready-set
-        #: signatures rarely repeat (threads drifting phase) pay for the
-        #: memo without earning hits; once that is established the memo
-        #: is bypassed in favor of the compiled plan alone.
-        self._memo_on = True
-        self._memo_hits = 0
-        #: SchemePlan the memo's decisions belong to.
-        self._plan_for = None
-        #: lifetime EngineStats counters (never reset on plan switch).
-        self._stat_hits = 0
-        self._stat_misses = 0
-        self._stat_drops = 0
-
-    def engine_stats(self) -> EngineStats:
-        return EngineStats(
-            engine=self.name,
-            memo_hits=self._stat_hits,
-            memo_misses=self._stat_misses,
-            memo_drops=self._stat_drops,
-        )
 
     def run(self, core, max_cycles: int, instr_limit: int | None = None) -> str:
         contexts = core.contexts
@@ -290,25 +228,7 @@ class FastEngine(Engine):
         n_perms = len(perms)
         rotate = core.rotate and n > 1
         plan = core.scheme.compile(core.rules)
-        if self._plan_for is not plan:
-            # core was re-pointed at a different scheme/machine: old
-            # decisions no longer apply.
-            self._memo.clear()
-            self._sig.clear()
-            self._sig_values.clear()
-            self._memo_on = True
-            self._memo_hits = 0
-            self._plan_for = plan
-        memo = self._memo
-        sig_of = self._sig
-        sig_values = self._sig_values
-        memo_on = self._memo_on
-        memo_hits = self._memo_hits
-        hits0 = memo_hits
-        memo_misses = 0
-        memo_drops = 0
-        memo_limit = self.memo_limit
-        batch = self.stream_batch
+        batch = self.STREAM_BATCH
         caps_high = core.rules.caps_high
         high = core.rules.high
         pair_table = plan.pair_table
@@ -620,48 +540,6 @@ class FastEngine(Engine):
                         else sel_first
                 else:
                     sel = sel_first if ma.mask & mb.mask else sel_both
-            elif memo_on:
-                key = 0
-                for p in range(n):
-                    ctx = port_ctx[p]
-                    if ctx is None:
-                        key <<= 21
-                    else:
-                        mop = ctx.pending.mop
-                        s = sig_of.get(mop)
-                        if s is None:
-                            vkey = (mop.mask, mop.packed)
-                            s = sig_values.get(vkey)
-                            if s is None:
-                                s = len(sig_values) + 1
-                                sig_values[vkey] = s
-                            sig_of[mop] = s
-                        key = key << 21 | s
-                sel = memo.get(key)
-                if sel is None:
-                    memo_misses += 1
-                    for p in range(n):
-                        ctx = port_ctx[p]
-                        pp = p + p
-                        if ctx is None:
-                            args[pp] = -1
-                            args[pp + 1] = 0
-                        else:
-                            mop = ctx.pending.mop
-                            args[pp] = mop.mask
-                            args[pp + 1] = mop.packed
-                    sel = select_ports(*args)
-                    if len(memo) >= memo_limit:
-                        memo.clear()
-                        memo_drops += 1
-                    memo[key] = sel
-                    if len(memo) > 8192 and memo_hits * 2 < len(memo):
-                        # signatures rarely repeat here: stop paying for
-                        # key construction, the compiled plan is cheap.
-                        memo_on = False
-                        memo.clear()
-                else:
-                    memo_hits += 1
             else:
                 for p in range(n):
                     ctx = port_ctx[p]
@@ -747,11 +625,6 @@ class FastEngine(Engine):
                 break
 
         # ---------------------------------------------------- flush
-        self._memo_on = memo_on
-        self._memo_hits = memo_hits
-        self._stat_hits += memo_hits - hits0
-        self._stat_misses += memo_misses
-        self._stat_drops += memo_drops
         if solo_issues:
             instrs_acc += solo_issues
             hist[1] = hist.get(1, 0) + solo_issues
@@ -767,122 +640,10 @@ class FastEngine(Engine):
         return status
 
 
-class JitEngine(Engine):
-    """Runs a generated whole-cycle loop; bit-identical to the reference.
-
-    :mod:`repro.sim.codegen` emits one specialized run loop per
-    structural shape — port count, rotation schedule, cache geometry,
-    branch penalty — with every per-slot field in locals, two-ready
-    merges resolved by an inlined pair predicate, and the memo probe
-    and LRU bookkeeping inlined.  The loop is compiled once per shape
-    (process-wide, optionally disk-shared across workers) and bound to
-    one :class:`~repro.sim.codegen.LoopEntry` per
-    ``(SchemePlan, cache shape, knobs)``, which carries the shared
-    merge memo.
-
-    Cores the generated loop does not model — partially occupied
-    contexts or cache types other than :class:`Cache` /
-    :class:`PerfectCache` — delegate the whole timeslice to an internal
-    :class:`FastEngine`, preserving bit-identity by construction.
-    """
-
-    name = "jit"
-
-    MEMO_LIMIT = FastEngine.MEMO_LIMIT
-    STREAM_BATCH = FastEngine.STREAM_BATCH
-
-    def __init__(self, memo_limit: int | None = None,
-                 stream_batch: int | None = None):
-        self.memo_limit = self.MEMO_LIMIT if memo_limit is None \
-            else max(1, memo_limit)
-        self.stream_batch = self.STREAM_BATCH if stream_batch is None \
-            else max(1, stream_batch)
-        self._fallback = FastEngine(memo_limit=memo_limit,
-                                    stream_batch=stream_batch)
-        self._entry = None
-        self._entry_for = None
-        #: programs whose MultiOp signatures this engine has interned
-        #: (id -> program; holding the ref keeps ids unambiguous).
-        self._sig_done: dict = {}
-        #: memo counters flushed by the generated loop (its ``sink``).
-        self._m_hits = 0
-        self._m_miss = 0
-        self._m_drops = 0
-        #: loop-cache activity attributable to this engine instance.
-        self._cg_memory_hits = 0
-        self._cg_disk_hits = 0
-        self._cg_compiles = 0
-        self._cg_seconds = 0.0
-        self.fallback_runs = 0
-
-    def engine_stats(self) -> EngineStats:
-        fb = self._fallback.engine_stats()
-        return EngineStats(
-            engine=self.name,
-            memo_hits=self._m_hits + fb.memo_hits,
-            memo_misses=self._m_miss + fb.memo_misses,
-            memo_drops=self._m_drops + fb.memo_drops,
-            codegen_memory_hits=self._cg_memory_hits,
-            codegen_disk_hits=self._cg_disk_hits,
-            codegen_compiles=self._cg_compiles,
-            compile_seconds=round(self._cg_seconds, 6),
-            fallback_runs=self.fallback_runs,
-        )
-
-    def run(self, core, max_cycles: int, instr_limit: int | None = None) -> str:
-        from repro.sim import codegen
-
-        for ctx in core.contexts:
-            if ctx is None:
-                self.fallback_runs += 1
-                return self._fallback.run(core, max_cycles, instr_limit)
-        i_desc = codegen.cache_descriptor(core.icache)
-        d_desc = codegen.cache_descriptor(core.dcache)
-        if i_desc is None or d_desc is None:
-            self.fallback_runs += 1
-            return self._fallback.run(core, max_cycles, instr_limit)
-        if core.scheme.n_ports > 2:
-            # the generated >=3-ready merge path reads MultiOp.sig.
-            for ctx in core.contexts:
-                prog = ctx.program
-                if id(prog) not in self._sig_done:
-                    if not codegen.ensure_sigs(prog):
-                        self.fallback_runs += 1
-                        return self._fallback.run(core, max_cycles,
-                                                  instr_limit)
-                    self._sig_done[id(prog)] = prog
-        plan = core.scheme.compile(core.rules)
-        entry = self._entry
-        if entry is None or self._entry_for != (plan, i_desc, d_desc,
-                                                core.rotate):
-            cache = codegen.get_loop_cache()
-            before = (cache.memory_hits, cache.disk_hits, cache.compiles,
-                      cache.compile_seconds)
-            entry = codegen.loop_entry(
-                core.scheme, plan, core.rules, i_desc, d_desc,
-                core.machine.taken_branch_penalty, core.rotate,
-                self.memo_limit, self.stream_batch,
-            )
-            hits = cache.memory_hits - before[0]
-            if hits + (cache.disk_hits - before[1]) \
-                    + (cache.compiles - before[2]) == 0:
-                # loop_entry reused a process-wide LoopEntry without
-                # consulting the loop cache: still an in-memory reuse.
-                hits = 1
-            self._cg_memory_hits += hits
-            self._cg_disk_hits += cache.disk_hits - before[1]
-            self._cg_compiles += cache.compiles - before[2]
-            self._cg_seconds += cache.compile_seconds - before[3]
-            self._entry = entry
-            self._entry_for = (plan, i_desc, d_desc, core.rotate)
-        return entry.fn(core, max_cycles, instr_limit, entry, self)
-
-
 #: engine registry, keyed by CLI/config name.
 ENGINES: dict[str, type[Engine]] = {
     ReferenceEngine.name: ReferenceEngine,
     FastEngine.name: FastEngine,
-    JitEngine.name: JitEngine,
 }
 
 

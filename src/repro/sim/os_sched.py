@@ -29,10 +29,11 @@ class RunResult:
     """Outcome of one multiprogrammed run.
 
     ``engine_stats`` is the engine's acceleration-counter snapshot
-    (:meth:`repro.sim.engine.EngineStats.as_dict`): memo hit/miss/drop
-    counts, codegen cache activity and fallback runs.  It is diagnostic
-    metadata — never part of the bit-identity contract between engines
-    — recorded so result stores can explain why a cell was slow.
+    (:meth:`repro.sim.engine.EngineStats.as_dict`): the engine's name
+    and, for the batch engine, its lockstep-group counters.  It is
+    diagnostic metadata — never part of the bit-identity contract
+    between engines — recorded so result stores can explain how a cell
+    ran.
     """
 
     stats: object

@@ -105,8 +105,8 @@ class TestBackendRoundTrip:
 
     def test_cell_meta_round_trip(self, kind, tmp_path):
         backend = _backend(kind, tmp_path, "meta")
-        meta = {"engine": "jit",
-                "engine_stats": {"memo_hits": 3, "fallback_runs": 0}}
+        meta = {"engine": "batch",
+                "engine_stats": {"batch_cells": 3, "batch_groups": 1}}
         backend.save_cell_meta("fig10", "workload:LLLL:3CCC:base", meta)
         backend.save_cell_meta("fig10", "workload:LLLL:3CCC:base", meta)
         fresh = open_backend(backend.url)

@@ -16,7 +16,7 @@ This file is that contract:
   disturbing their group-mates.
 
 Everything here skips cleanly when numpy is absent — the batch
-engine's solo path (delegation to jit) is covered by test_engine.py
+engine's solo path (delegation to fast) is covered by test_engine.py
 and needs no numpy.
 """
 

@@ -1,19 +1,22 @@
 """Engine layer: protocol, differential bit-identity, fast-path guards.
 
 The differential suite is the contract that makes the engine layer safe:
-``FastEngine`` and ``JitEngine`` must produce bit-identical
-``SimStats``, per-thread counters and cache counters to
-``ReferenceEngine`` for every scheme in the registry on every Table 2
-workload, including OS-scheduler multiprogramming runs (schemes with
-fewer ports than software threads context-switch every timeslice) and
-8-thread schemes from the sweep enumerator.
+``FastEngine`` must produce bit-identical ``SimStats``, per-thread
+counters and cache counters to ``ReferenceEngine`` for every scheme in
+the registry on every Table 2 workload, including OS-scheduler
+multiprogramming runs (schemes with fewer ports than software threads
+context-switch every timeslice) and every scheme the 2..8-thread sweep
+enumerator emits.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.arch import paper_machine
 from repro.kernels import by_name, compile_spec
@@ -21,7 +24,6 @@ from repro.merge import PAPER_SCHEMES, get_scheme
 from repro.sim import (
     ENGINES,
     FastEngine,
-    JitEngine,
     MTCore,
     ReferenceEngine,
     SimConfig,
@@ -41,8 +43,12 @@ ALL_SCHEMES = ["ST", "1S"] + PAPER_SCHEMES
 #: small but representative: real caches, warmup, timeslice switching.
 DIFF_CONFIG = SimConfig(instr_limit=300, timeslice=150, warmup_instrs=60)
 
+#: tiny but complete (real caches, warmup, timeslice switching), for
+#: properties that simulate many drawn schemes.
+TINY_CONFIG = SimConfig(instr_limit=120, timeslice=60, warmup_instrs=20)
+
 #: every accelerated engine is differentially tested against reference.
-ACCEL_ENGINES = ("fast", "jit")
+ACCEL_ENGINES = ("fast",)
 
 
 def _fingerprint(result):
@@ -55,6 +61,13 @@ def _fingerprint(result):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _eight_programs() -> list:
+    """Eight software threads: enough for every scheme up to 8 ports."""
+    return workload_programs("LLMH", MACHINE) \
+        + workload_programs("HHHH", MACHINE)
+
+
 def _run(programs, scheme, config, engine):
     return _fingerprint(
         run_workload(programs, scheme, dataclasses.replace(config, engine=engine))
@@ -62,7 +75,7 @@ def _run(programs, scheme, config, engine):
 
 
 class TestDifferential:
-    """FastEngine == JitEngine == ReferenceEngine, bit for bit."""
+    """FastEngine == ReferenceEngine, bit for bit."""
 
     @pytest.mark.parametrize("engine", ACCEL_ENGINES)
     @pytest.mark.parametrize("workload", WORKLOAD_ORDER)
@@ -124,8 +137,7 @@ class TestDifferential:
         """8-thread schemes from the sweep enumerator (``@8``-qualified
         names parse to the same trees) run 8 software threads on up to
         8 ports — the wide-merge path no 4-thread test reaches."""
-        programs = workload_programs("LLMH", MACHINE) \
-            + workload_programs("HHHH", MACHINE)
+        programs = _eight_programs()
         from repro.eval.sweep import enumerate_names
         names = enumerate_names(8)
         sample = [names[i] for i in range(0, len(names), len(names) // 7)]
@@ -136,77 +148,34 @@ class TestDifferential:
                 accel = _run(programs, scheme, DIFF_CONFIG, engine)
                 assert ref == accel, f"8T/{scheme}/{engine} diverged"
 
-    def test_tiny_memo_forces_eviction(self):
-        """A minuscule memo bound exercises the clear-on-full path
-        without changing any decision."""
-        programs = workload_programs("LLLL", MACHINE)
-        scheme = get_scheme("2SC3")
+    @settings(max_examples=30, deadline=5_000,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_enumerated_schemes_match_reference(self, data):
+        """Any scheme the 2..8-thread enumerator emits runs in bounded
+        time and memory, bit-identical to the reference."""
+        from repro.eval.sweep import enumerate_names
 
-        def build(engine):
-            core = MTCore(MACHINE, scheme, Cache(CacheConfig()),
-                          Cache(CacheConfig()), engine=engine)
-            ts = [ThreadState(p, sw_id=i, seed=1 + 17 * i)
-                  for i, p in enumerate(programs)]
-            core.set_contexts(ts)
-            core.run(3_000, instr_limit=500)
-            return (dataclasses.asdict(core.stats),
-                    [(t.issued_instrs, t.issued_ops) for t in ts])
+        n = data.draw(st.integers(min_value=2, max_value=8), label="n")
+        scheme = data.draw(st.sampled_from(enumerate_names(n)),
+                           label="scheme")
+        programs = _eight_programs()
+        ref = _run(programs, scheme, TINY_CONFIG, "reference")
+        for engine in ACCEL_ENGINES:
+            assert _run(programs, scheme, TINY_CONFIG, engine) == ref, \
+                f"{scheme}/{engine} diverged"
 
-        expect = build(ReferenceEngine())
-        assert expect == build(FastEngine(memo_limit=8))
-        assert expect == build(JitEngine(memo_limit=8))
-
-
-class TestEngineProtocol:
-    def test_registry_contents(self):
-        assert set(ENGINES) == {"reference", "fast", "jit", "batch"}
-
-    def test_make_engine_from_name_class_instance(self):
-        assert isinstance(make_engine("fast"), FastEngine)
-        assert isinstance(make_engine("reference"), ReferenceEngine)
-        assert isinstance(make_engine("jit"), JitEngine)
-        assert isinstance(make_engine(FastEngine), FastEngine)
-        engine = FastEngine()
-        assert make_engine(engine) is engine
-
-    def test_make_engine_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown engine.*fast"):
-            make_engine("warp")
-        with pytest.raises(TypeError):
-            make_engine(42)
-
-    def test_config_rejects_unknown_engine_at_construction(self):
-        with pytest.raises(ValueError, match="unknown engine.*jit"):
-            SimConfig(engine="warp")
-
-    def test_core_default_engine_is_fast(self):
-        core = MTCore(MACHINE, get_scheme("ST"), PerfectCache(),
-                      PerfectCache())
-        assert core.engine.name == "fast"
-
-    def test_config_threads_engine_to_core(self):
+    @pytest.mark.parametrize("engine", ACCEL_ENGINES)
+    def test_partially_occupied_contexts(self, engine):
+        """One program on a 4-port scheme leaves three contexts empty."""
         prog = compile_spec(by_name("mcf"), MACHINE)
-        cfg = SimConfig(instr_limit=50, timeslice=50, warmup_instrs=0,
-                        engine="reference")
-        res = run_workload([prog], "ST", cfg)
-        assert res.stats.cycles > 0  # ran through the reference engine
-
-
-class TestJitEngine:
-    """JIT-specific behaviors: fallback, codegen caching, stats."""
-
-    def test_partially_occupied_contexts_fall_back(self):
-        """One program on a 4-port scheme leaves contexts None; the jit
-        engine must delegate the timeslice and still match reference."""
-        prog = compile_spec(by_name("mcf"), MACHINE)
-        cfg = dataclasses.replace(DIFF_CONFIG, engine="jit")
-        res = run_workload([prog], "3SSS", cfg)
         assert _run([prog], "3SSS", DIFF_CONFIG, "reference") == \
-            _fingerprint(res)
+            _run([prog], "3SSS", DIFF_CONFIG, engine)
 
-    def test_unsupported_cache_type_falls_back(self):
-        """A cache type the generator does not model forces fallback —
-        results still bit-identical via the internal fast engine."""
+    @pytest.mark.parametrize("engine", ACCEL_ENGINES)
+    def test_unspecialized_cache_type(self, engine):
+        """A Cache subclass skips the inlined LRU paths and goes through
+        plain ``access()`` calls — results stay bit-identical."""
 
         class OddCache(Cache):
             pass
@@ -223,9 +192,41 @@ class TestJitEngine:
             core.run(2_000, instr_limit=400)
             return dataclasses.asdict(core.stats)
 
-        jit = JitEngine()
-        assert build(ReferenceEngine()) == build(jit)
-        assert jit.engine_stats().fallback_runs > 0
+        assert build(ReferenceEngine()) == build(make_engine(engine))
+
+
+class TestEngineProtocol:
+    def test_registry_contents(self):
+        assert set(ENGINES) == {"reference", "fast", "batch"}
+
+    def test_make_engine_from_name_class_instance(self):
+        assert isinstance(make_engine("fast"), FastEngine)
+        assert isinstance(make_engine("reference"), ReferenceEngine)
+        assert isinstance(make_engine(FastEngine), FastEngine)
+        engine = FastEngine()
+        assert make_engine(engine) is engine
+
+    def test_make_engine_rejects_unknown(self):
+        with pytest.raises(ValueError, match="unknown engine.*fast"):
+            make_engine("warp")
+        with pytest.raises(TypeError):
+            make_engine(42)
+
+    def test_config_rejects_unknown_engine_at_construction(self):
+        with pytest.raises(ValueError, match="unknown engine.*fast"):
+            SimConfig(engine="warp")
+
+    def test_core_default_engine_is_fast(self):
+        core = MTCore(MACHINE, get_scheme("ST"), PerfectCache(),
+                      PerfectCache())
+        assert core.engine.name == "fast"
+
+    def test_config_threads_engine_to_core(self):
+        prog = compile_spec(by_name("mcf"), MACHINE)
+        cfg = SimConfig(instr_limit=50, timeslice=50, warmup_instrs=0,
+                        engine="reference")
+        res = run_workload([prog], "ST", cfg)
+        assert res.stats.cycles > 0  # ran through the reference engine
 
     def test_engine_stats_shape_on_all_engines(self):
         programs = workload_programs("LLLL", MACHINE)
@@ -240,25 +241,16 @@ class TestJitEngine:
             core.run(2_000, instr_limit=400)
             stats = engine.engine_stats()
             assert stats.engine == name
-            d = stats.as_dict()
-            assert set(d) == {
-                "engine", "memo_hits", "memo_misses", "memo_drops",
-                "codegen_memory_hits", "codegen_disk_hits",
-                "codegen_compiles", "compile_seconds", "fallback_runs",
-                "batch_cells", "batch_groups", "batch_fallback_cells",
+            assert set(stats.as_dict()) == {
+                "engine", "batch_cells", "batch_groups",
+                "batch_fallback_cells",
             }
-        # the jit run above either compiled its loop or reused a
-        # process-wide cached one — the counters must say which.
-        assert d["codegen_compiles"] + d["codegen_memory_hits"] \
-            + d["codegen_disk_hits"] >= 1
 
     def test_run_result_carries_engine_stats(self):
         programs = workload_programs("LLLL", MACHINE)
-        cfg = dataclasses.replace(DIFF_CONFIG, engine="jit")
-        res = run_workload(programs, "3CCC", cfg)
+        res = run_workload(programs, "3CCC", DIFF_CONFIG)
         assert res.engine_stats is not None
-        assert res.engine_stats["engine"] == "jit"
-        assert res.engine_stats["fallback_runs"] == 0
+        assert res.engine_stats["engine"] == "fast"
 
 
 class TestFastPaths:

@@ -44,7 +44,7 @@ class TestCorpusFiles:
         assert set(GOLDEN_EXPERIMENTS) == SIM_EXPERIMENTS - derived
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference", "jit"])
+@pytest.mark.parametrize("engine", ["fast", "reference"])
 @pytest.mark.parametrize("name", GOLDEN_EXPERIMENTS)
 def test_artifact_matches_golden_bytes(name, engine):
     config = default_config(GOLDEN_SCALE, engine=engine)

@@ -182,6 +182,11 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="static"):
             CampaignSpec(experiment="fig5").cells()
 
+    def test_stored_spec_with_unregistered_engine_is_refused(self):
+        stored = dict(SPEC.to_dict(), engine="jit")
+        with pytest.raises(ValueError, match="unknown engine 'jit'"):
+            CampaignSpec.from_dict(stored)
+
 
 # ----------------------------------------------------------------------
 # init / worker / status / reset (the orchestration layer)
@@ -200,6 +205,25 @@ class TestWorkerLoop:
     def test_worker_requires_an_initialized_queue(self, tmp_path):
         with pytest.raises(ValueError, match="queue-init"):
             run_worker(_url(tmp_path))
+
+    def test_unrunnable_spec_stops_the_worker_before_any_claim(
+            self, tmp_path, monkeypatch):
+        """A queue whose stored spec names an engine this build lacks
+        must not claim (and then fail) every cell."""
+        url = _url(tmp_path)
+        init_queue(url, SPEC)
+        backend = QueueBackend(str(tmp_path / "camp.db"))
+        backend.save_campaign(dict(SPEC.to_dict(), engine="jit"))
+
+        def claim(self, *args, **kwargs):
+            raise AssertionError("the worker claimed a cell")
+
+        monkeypatch.setattr(QueueBackend, "claim", claim)
+        with pytest.raises(ValueError, match="unknown engine 'jit'"):
+            run_worker(url, worker_id="w1")
+        assert backend.queue_counts() == {"open": 2, "claimed": 0,
+                                          "done": 0, "failed": 0}
+        backend.close()
 
     def test_queue_verbs_reject_non_queue_stores(self, tmp_path):
         with pytest.raises(ValueError, match="not a queue store"):

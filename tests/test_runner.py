@@ -136,7 +136,7 @@ class TestRunStore:
         """Executed cells leave diagnostic metadata (engine + stats)
         beside their values — resume neither needs nor re-writes it."""
         cfg = SimConfig(instr_limit=300, timeslice=150, warmup_instrs=60,
-                        engine="jit")
+                        engine="fast")
         store = RunStore.open_or_create(tmp_path / "r")
         cells = [Cell("figX", "workload", "LLLL", s)
                  for s in ("1S", "3CCC")]
@@ -144,8 +144,8 @@ class TestRunStore:
         meta = store.load_cell_meta("figX")
         assert set(meta) == {c.key for c in cells}
         entry = meta[cells[1].key]
-        assert entry["engine"] == "jit"
-        assert entry["engine_stats"]["fallback_runs"] == 0
+        assert entry["engine"] == "fast"
+        assert entry["engine_stats"]["engine"] == "fast"
         # resumed runs execute nothing and leave the metadata alone
         again = run_cells(cells, cfg, machine, store=RunStore(store.path))
         assert again.executed == 0
