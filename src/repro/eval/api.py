@@ -60,7 +60,7 @@ from repro.eval.experiments import (
     default_config,
 )
 from repro.eval.result import ExperimentResult
-from repro.eval.runner import GridResult
+from repro.eval.runner import GridResult, check_tag
 from repro.eval.store import RunStore, config_fingerprint, open_store
 
 __all__ = ["Session"]
@@ -80,13 +80,6 @@ class _SessionStore:
     @property
     def _store(self) -> RunStore | None:
         return self._session.store
-
-    @property
-    def path(self):
-        return self._store.path if self._store else None
-
-    def programs_dir(self):
-        return self._store.programs_dir() if self._store else None
 
     def load_cells(self, experiment: str) -> dict:
         cells = dict(self._store.load_cells(experiment)) if self._store else {}
@@ -115,15 +108,8 @@ def _machine_registry(machines) -> dict:
     else:
         registry = {m.name: m for m in machines}
     for tag in registry:
-        _check_tag("machine", tag)
+        check_tag("machine", tag, empty_ok=False)
     return registry
-
-
-def _check_tag(kind: str, tag: str) -> None:
-    if not tag or any(sep in tag for sep in ":@%"):
-        raise ValueError(f"bad {kind} tag {tag!r}: tags are non-empty "
-                         f"and must not contain ':', '@' or '%' "
-                         f"(cell-key delimiters)")
 
 
 class Session:
@@ -161,7 +147,7 @@ class Session:
         self.config = config or default_config(scale, engine=engine)
         self.configs = dict(configs or {})
         for tag in self.configs:
-            _check_tag("config", tag)
+            check_tag("config", tag, empty_ok=False)
         self.jobs = jobs
         self._cells: dict[str, dict[str, float]] = {}
         self._results: dict[str, ExperimentResult] = {}

@@ -142,11 +142,6 @@ class StoreBackend(Protocol):
         """The serialized artifact, or ``None`` if absent."""
         ...
 
-    def programs_dir(self) -> str | None:
-        """Directory for the shared compiled-program disk cache, if the
-        backend has a natural place for one (``None`` disables it)."""
-        ...
-
     def close(self) -> None:
         """Release any held resources (idempotent)."""
         ...

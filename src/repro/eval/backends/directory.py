@@ -8,7 +8,6 @@ directories keep working, and the bytes written are identical)::
         cells/fig10.json     # cell key -> measured value
         meta/fig10.json      # cell key -> diagnostic metadata (optional)
         fig10.json           # final ExperimentResult artifact
-        programs/            # shared compiled-program disk cache
 """
 
 from __future__ import annotations
@@ -103,8 +102,5 @@ class DirectoryBackend:
             return None
 
     # -- misc ------------------------------------------------------------
-    def programs_dir(self) -> str | None:
-        return os.path.join(self.path, "programs")
-
     def close(self) -> None:
         pass

@@ -17,10 +17,6 @@ Cell values are IPC floats; SQLite ``REAL`` is an IEEE double, so values
 round-trip bit-exactly against the directory backend's JSON (property
 tested in ``tests/test_backends.py``).  Reads never create the database
 (``merge_runs`` probes sources read-only); the first write does.
-
-The compiled-program disk cache has no natural home inside a database,
-so :meth:`SQLiteBackend.programs_dir` returns ``None`` — grids backed by
-a SQLite store fall back to the in-memory program cache.
 """
 
 from __future__ import annotations
@@ -191,9 +187,6 @@ class SQLiteBackend:
         return row[0] if row else None
 
     # -- misc ------------------------------------------------------------
-    def programs_dir(self) -> str | None:
-        return None
-
     def close(self) -> None:
         if self._conn is not None:
             self._conn.close()

@@ -51,8 +51,7 @@ the paper used 100M - see DESIGN.md section 3 on scaling).
 ``--out``/``--resume``/``--store`` name a *run store* (created if
 missing) holding the manifest, per-cell values for resume and
 per-experiment JSON artifacts.  ``--store`` accepts a backend URL —
-``dir:PATH`` (a run directory, which also hosts the shared on-disk
-compiled-program cache), ``sqlite:PATH.db`` (one database file) or
+``dir:PATH`` (a run directory), ``sqlite:PATH.db`` (one database file) or
 ``queue:PATH.db`` (a SQLite store plus a worker-pull cell queue);
 ``--out``/``--resume`` take bare directory paths or the same URLs.
 Giving several of them with different locations is an error.  Every

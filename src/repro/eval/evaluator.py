@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.eval.runner import check_tag
 from repro.eval.store import config_fingerprint
 
 __all__ = [
@@ -73,10 +74,7 @@ class FidelityRung:
                 f"(scale 1.0) must use the empty tag and vice versa — "
                 f"the empty tag is what aliases search cells with "
                 f"exhaustive sweep cells")
-        if any(sep in self.tag for sep in ":@%"):
-            raise ValueError(f"bad rung tag {self.tag!r}: tags must not "
-                             f"contain ':', '@' or '%' "
-                             f"(cell-key delimiters)")
+        check_tag("rung", self.tag, empty_ok=True)
 
     @classmethod
     def for_scale(cls, scale: float) -> "FidelityRung":

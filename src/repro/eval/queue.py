@@ -55,7 +55,12 @@ from repro.eval.experiments import (
     cell_factory,
     default_config,
 )
-from repro.eval.runner import Cell, run_cell_detailed, run_cells_batch
+from repro.eval.runner import (
+    Cell,
+    check_tag,
+    run_cell_detailed,
+    run_cells_batch,
+)
 from repro.eval.store import RunStore, config_fingerprint, run_fingerprint
 from repro.eval.sweep import sweep_cells, sweep_threads
 from repro.sim import ENGINES
@@ -157,10 +162,7 @@ class CampaignSpec:
                              "id like 'sweep8'")
         seen = set()
         for tag, scale in self.configs:
-            if not tag or any(sep in tag for sep in ":@%"):
-                raise ValueError(
-                    f"bad config tag {tag!r}: tags are non-empty and "
-                    f"must not contain ':', '@' or '%'")
+            check_tag("config", tag, empty_ok=False)
             if not 0 < scale <= 1.0:
                 raise ValueError(f"config {tag!r}: scale must be in "
                                  f"(0, 1], got {scale}")

@@ -9,11 +9,9 @@ grid either inline or fanned out over a ``ProcessPoolExecutor``, with:
   completion order, and each simulation is fully seeded, so parallel
   output is bit-identical to serial output;
 * **compile reuse** — the parent process pre-compiles every distinct
-  program of the grid through the process-wide
-  :class:`~repro.kernels.cache.ProgramCache` before forking, and when a
-  :class:`~repro.eval.store.RunStore` is attached its
-  ``programs/`` directory is used as the process-safe disk cache, so a
-  kernel is compiled once per machine/options fingerprint per host;
+  program of the grid through the process-wide in-memory
+  :class:`~repro.kernels.cache.ProgramCache` before forking, so forked
+  workers inherit every program instead of compiling it again;
 * **resume** — completed cells recorded in the attached store are
   skipped, and new results are written through as they complete.
 
@@ -35,18 +33,17 @@ values, bit-identical.
 from __future__ import annotations
 
 import difflib
-import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 from repro.arch import paper_machine
 from repro.kernels import by_name, compile_spec
-from repro.kernels.cache import get_default_cache, set_cache_dir
 from repro.sim import run_workload
 from repro.workloads import workload_specs
 
-__all__ = ["Cell", "GridResult", "run_cell", "run_cell_detailed",
-           "run_cells", "run_cells_batch", "shard_cells"]
+__all__ = ["Cell", "GridResult", "check_tag", "run_cell",
+           "run_cell_detailed", "run_cells", "run_cells_batch",
+           "shard_cells"]
 
 #: cell config variants -> SimConfig transform.
 _VARIANTS = {
@@ -95,12 +92,8 @@ class Cell:
             raise ValueError(f"unknown cell kind {self.kind!r}")
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown cell variant {self.variant!r}")
-        for tag in (self.machine, self.config):
-            if any(sep in tag for sep in ":@%"):
-                raise ValueError(
-                    f"cell tag {tag!r} must not contain ':', '@' or '%' "
-                    f"(they delimit cell keys, so two different tag "
-                    f"pairs could collide on one key)")
+        check_tag("machine", self.machine, empty_ok=True)
+        check_tag("config", self.config, empty_ok=True)
 
     @property
     def key(self) -> str:
@@ -111,6 +104,23 @@ class Cell:
         if self.config:
             key += f"%{self.config}"
         return key
+
+
+def check_tag(kind: str, tag: str, *, empty_ok: bool) -> None:
+    """Reject a ``kind`` tag that cannot ride in a :attr:`Cell.key`.
+
+    ``':'``, ``'@'`` and ``'%'`` delimit the key's parts, so a tag
+    holding one could make two different tag pairs collide on one key.
+    Whether the empty tag (the campaign default) is allowed is the
+    caller's rule.
+    """
+    if not tag and not empty_ok:
+        raise ValueError(f"bad {kind} tag {tag!r}: tags are non-empty")
+    if any(sep in tag for sep in ":@%"):
+        raise ValueError(
+            f"bad {kind} tag {tag!r}: tags must not contain ':', '@' or "
+            f"'%' (these delimiters delimit cell keys, so two different "
+            f"tag pairs could collide on one key)")
 
 
 @dataclass
@@ -227,9 +237,7 @@ def run_cells_batch(cells, config, machine=None) -> list:
 _worker_state: dict = {}
 
 
-def _worker_init(config, machine, cache_dir) -> None:
-    if cache_dir:
-        set_cache_dir(cache_dir)
+def _worker_init(config, machine) -> None:
     _worker_state["config"] = config
     _worker_state["machine"] = machine
 
@@ -248,8 +256,7 @@ def _worker_run_batch(cells) -> list:
 def _prewarm(cells, machine, options=None) -> None:
     """Compile every distinct program of the grid once, in the parent.
 
-    Forked workers inherit the warm in-memory cache; spawned workers
-    fall back to the shared disk cache (when configured).
+    Forked workers inherit the warm in-memory cache.
     """
     seen = set()
     for cell in cells:
@@ -301,16 +308,6 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
         else:
             pending.append(cell)
 
-    prev_cache_dir = get_default_cache().directory
-    if pending and store is not None and prev_cache_dir is None:
-        if hasattr(store, "programs_dir"):
-            programs = store.programs_dir()
-        else:  # duck-typed store without backend awareness
-            path = getattr(store, "path", None)
-            programs = os.path.join(path, "programs") if path else None
-        if programs:
-            set_cache_dir(programs)
-
     def record(key: str, value: float, meta: dict | None) -> None:
         result.values[key] = value
         result.executed += 1
@@ -320,52 +317,46 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
                 store.record_cell_meta(experiment, key, meta)
 
     batched = config.engine == "batch" and len(pending) > 1
-    try:
-        if batched and jobs > 1:
-            # one lockstep group per worker: deterministic round-robin
-            # shards over key order, assembled by key as usual
-            _prewarm(pending, machine)
-            workers = min(jobs, len(pending))
-            ordered = sorted(pending, key=lambda c: c.key)
-            shards = [ordered[i::workers] for i in range(workers)]
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_worker_init,
-                initargs=(config, machine, get_default_cache().directory),
-            ) as pool:
-                futures = {pool.submit(_worker_run_batch, shard)
-                           for shard in shards}
-                while futures:
-                    finished, futures = wait(futures,
-                                             return_when=FIRST_COMPLETED)
-                    for fut in finished:
-                        for key, value, meta in fut.result():
-                            record(key, value, meta)
-        elif batched:
-            for key, value, meta in run_cells_batch(pending, config,
-                                                    machine):
-                record(key, value, meta)
-        elif jobs <= 1 or len(pending) <= 1:
-            for cell in pending:
-                value, meta = run_cell_detailed(cell, config, machine)
-                record(cell.key, value, meta)
-        elif pending:
-            _prewarm(pending, machine)
-            workers = min(jobs, len(pending))
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_worker_init,
-                initargs=(config, machine, get_default_cache().directory),
-            ) as pool:
-                futures = {pool.submit(_worker_run, cell) for cell in pending}
-                while futures:
-                    finished, futures = wait(futures,
-                                             return_when=FIRST_COMPLETED)
-                    for fut in finished:
-                        key, value, meta = fut.result()
+    if batched and jobs > 1:
+        # one lockstep group per worker: deterministic round-robin
+        # shards over key order, assembled by key as usual
+        _prewarm(pending, machine)
+        workers = min(jobs, len(pending))
+        ordered = sorted(pending, key=lambda c: c.key)
+        shards = [ordered[i::workers] for i in range(workers)]
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_worker_init,
+            initargs=(config, machine),
+        ) as pool:
+            futures = {pool.submit(_worker_run_batch, shard)
+                       for shard in shards}
+            while futures:
+                finished, futures = wait(futures, return_when=FIRST_COMPLETED)
+                for fut in finished:
+                    for key, value, meta in fut.result():
                         record(key, value, meta)
-    finally:
-        set_cache_dir(prev_cache_dir)
+    elif batched:
+        for key, value, meta in run_cells_batch(pending, config, machine):
+            record(key, value, meta)
+    elif jobs <= 1 or len(pending) <= 1:
+        for cell in pending:
+            value, meta = run_cell_detailed(cell, config, machine)
+            record(cell.key, value, meta)
+    elif pending:
+        _prewarm(pending, machine)
+        workers = min(jobs, len(pending))
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_worker_init,
+            initargs=(config, machine),
+        ) as pool:
+            futures = {pool.submit(_worker_run, cell) for cell in pending}
+            while futures:
+                finished, futures = wait(futures, return_when=FIRST_COMPLETED)
+                for fut in finished:
+                    key, value, meta = fut.result()
+                    record(key, value, meta)
 
     if store is not None:
         store.update_manifest(experiment, cells=len(cells),

@@ -73,6 +73,35 @@ def run_fingerprint(config, machine) -> dict:
             "machine": machine.describe()}
 
 
+_ABSENT = object()
+
+
+def _fingerprint_diff(recorded: dict, current: dict, limit: int = 3
+                     ) -> list[str]:
+    """The first ``limit`` dotted paths where two fingerprints differ,
+    each with both values, e.g. ``config.seed: 1 (store) vs 2 (this
+    run)``."""
+    diffs: list[str] = []
+
+    def show(value) -> str:
+        if value is _ABSENT:
+            return "absent"
+        text = json.dumps(value, sort_keys=True)
+        return text if len(text) <= 60 else text[:57] + "..."
+
+    def walk(a, b, path: str) -> None:
+        if isinstance(a, dict) and isinstance(b, dict):
+            for k in sorted(a.keys() | b.keys()):
+                walk(a.get(k, _ABSENT), b.get(k, _ABSENT),
+                     f"{path}.{k}" if path else k)
+        elif a != b:
+            diffs.append(f"{path}: {show(a)} (store) vs {show(b)} "
+                         f"(this run)")
+
+    walk(recorded, current, "")
+    return diffs[:limit]
+
+
 def _is_backend(obj) -> bool:
     return isinstance(obj, StoreBackend) and not isinstance(obj, str)
 
@@ -134,10 +163,12 @@ class RunStore:
                 manifest["fingerprint"] = fingerprint
                 store._write_manifest(manifest)
             elif recorded != fingerprint:
+                diffs = "; ".join(_fingerprint_diff(recorded, fingerprint))
                 raise StoreMismatchError(
                     f"run store {store.url!r} was created with a "
-                    f"different config/machine; use a fresh --out/--store "
-                    f"location or matching --scale"
+                    f"different config/machine ({diffs}); use a fresh "
+                    f"--out/--store location or rerun with the store's "
+                    f"settings"
                 )
         return store
 
@@ -221,10 +252,6 @@ class RunStore:
         )
 
     # -- misc ------------------------------------------------------------
-    def programs_dir(self) -> str | None:
-        """Directory of the shared compiled-program disk cache, if any."""
-        return self.backend.programs_dir()
-
     def close(self) -> None:
         self.backend.close()
 

@@ -43,10 +43,8 @@ class KernelSpec:
 def compile_spec(spec: KernelSpec, machine, options: CompilerOptions | None = None):
     """Compile a kernel spec (memoized per machine + options fingerprint).
 
-    Routes through the process-wide :class:`~repro.kernels.cache.ProgramCache`;
-    when a disk cache directory is configured (``REPRO_CACHE_DIR`` or
-    :func:`repro.kernels.cache.set_cache_dir`) compiled programs are also
-    shared across processes.
+    Routes through the process-wide in-memory
+    :class:`~repro.kernels.cache.ProgramCache`.
     """
     from repro.kernels.cache import get_default_cache
 

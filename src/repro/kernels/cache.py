@@ -1,67 +1,22 @@
-"""Process-safe compiled-program cache.
+"""In-process compiled-program memo.
 
 Compiling a kernel (unroll, cluster-assign, schedule, allocate) is the
 most expensive non-simulation step of every experiment, and the same
 twelve Table 1 programs are needed by table1, fig4, fig6 and fig10
 alike.  :class:`ProgramCache` memoizes compiled
-:class:`~repro.compiler.program.VLIWProgram` objects at two levels:
-
-* an in-process dictionary (always on); and
-* an optional on-disk pickle store shared between processes — the
-  parallel grid runner points every worker at one directory so each
-  kernel is compiled once per machine/options fingerprint per host,
-  not once per worker.
-
-Disk entries are written atomically (temp file + ``os.replace``) so
-concurrent writers can never expose a partial pickle; concurrent
-writes of the same key are idempotent (last writer wins with equal
-content).  Cache keys fold in a digest of the compiler/IR/kernel
-sources, so editing the compiler invalidates stale entries instead of
-serving them.
+:class:`~repro.compiler.program.VLIWProgram` objects in a dictionary
+keyed by kernel, machine and compiler-options fingerprints, so each
+program is compiled at most once per process.  The parallel grid runner
+compiles every program of a grid in the parent before forking, so
+forked workers inherit the warm memo.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import pickle
-import tempfile
-
 from repro.compiler.options import CompilerOptions
 from repro.compiler.pipeline import compile_kernel
 
-__all__ = [
-    "ProgramCache",
-    "cache_key",
-    "get_default_cache",
-    "set_cache_dir",
-    "source_digest",
-]
-
-#: packages whose source text participates in the cache key — anything
-#: that can change the bits of a compiled program.
-_FINGERPRINT_PACKAGES = ("arch", "compiler", "ir", "isa", "kernels")
-
-_source_digest_memo: str | None = None
-
-
-def source_digest() -> str:
-    """Digest of every source file that affects compilation output."""
-    global _source_digest_memo
-    if _source_digest_memo is None:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        h = hashlib.sha256()
-        for pkg in _FINGERPRINT_PACKAGES:
-            pkg_dir = os.path.join(root, pkg)
-            for name in sorted(os.listdir(pkg_dir)):
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(pkg_dir, name)
-                h.update(name.encode())
-                with open(path, "rb") as f:
-                    h.update(f.read())
-        _source_digest_memo = h.hexdigest()[:16]
-    return _source_digest_memo
+__all__ = ["ProgramCache", "cache_key", "get_default_cache"]
 
 
 def machine_fingerprint(machine) -> str:
@@ -84,30 +39,23 @@ def options_fingerprint(options: CompilerOptions) -> str:
     )
 
 
-def cache_key(spec, machine, options: CompilerOptions) -> str:
-    """Hex key identifying one (kernel, machine, options, code) build."""
-    text = "\n".join([
-        source_digest(),
+def cache_key(spec, machine, options: CompilerOptions) -> tuple:
+    """Key identifying one (kernel, machine, options) build."""
+    return (
         f"kernel={spec.name}|class={spec.ilp_class}"
         f"|hints={sorted(spec.unroll.items())}",
         machine_fingerprint(machine),
         options_fingerprint(options),
-    ])
-    return hashlib.sha256(text.encode()).hexdigest()
+    )
 
 
 class ProgramCache:
-    """Two-level (memory + optional disk) compiled-program cache."""
+    """In-memory compiled-program memo."""
 
-    def __init__(self, directory: str | None = None):
-        self.directory = directory
+    def __init__(self):
         self._memory: dict = {}
         self.compiles = 0
         self.memory_hits = 0
-        self.disk_hits = 0
-
-    def _disk_path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.pkl")
 
     def get(self, spec, machine, options: CompilerOptions | None = None):
         """Compiled program for ``spec`` — compiled at most once per key."""
@@ -117,65 +65,16 @@ class ProgramCache:
         if prog is not None:
             self.memory_hits += 1
             return prog
-        if self.directory:
-            prog = self._disk_load(key)
-            if prog is not None:
-                self.disk_hits += 1
-                self._memory[key] = prog
-                return prog
         prog = compile_kernel(spec.build(), machine, options,
                               unroll_hints=dict(spec.unroll))
         self.compiles += 1
         self._memory[key] = prog
-        if self.directory:
-            self._disk_store(key, prog)
         return prog
-
-    def _disk_load(self, key: str):
-        path = self._disk_path(key)
-        try:
-            with open(path, "rb") as f:
-                return pickle.load(f)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            return None
-
-    def _disk_store(self, key: str, prog) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(prog, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, self._disk_path(key))
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def clear_memory(self) -> None:
-        self._memory.clear()
-
-    def stats(self) -> dict:
-        return {
-            "compiles": self.compiles,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "directory": self.directory,
-        }
 
 
 #: the process-wide cache every ``compile_spec`` call routes through.
-_default_cache = ProgramCache(os.environ.get("REPRO_CACHE_DIR") or None)
+_default_cache = ProgramCache()
 
 
 def get_default_cache() -> ProgramCache:
-    return _default_cache
-
-
-def set_cache_dir(directory: str | None) -> ProgramCache:
-    """Point the default cache at a disk directory (None = memory only).
-
-    Existing in-memory entries are kept; returns the default cache.
-    """
-    _default_cache.directory = directory
     return _default_cache

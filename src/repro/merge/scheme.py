@@ -40,17 +40,17 @@ class SchemePlan:
     input on failure.  Parallel CSMT blocks are lowered to their
     functionally identical left-deep cascades.
 
-    Evaluating the plan with an explicit stack replaces the per-cycle
-    recursive AST walk in the simulator's hot loop; :meth:`select` is
-    bit-identical to ``root.eval`` on every input (see the property
-    tests in ``tests/test_merge_scheme.py``).
+    The steps are never interpreted at run time; they are compiled into
+    the two fast paths below, each bit-identical to ``root.eval`` on
+    every input (see the property tests in
+    ``tests/test_merge_scheme.py``).
 
-    :attr:`select_ports` is the plan specialized further: the postorder
-    steps are unrolled at compile time into one straight-line Python
-    function over flat ``(mask, packed)`` pairs (mask ``-1`` marks an
-    invalid port) returning the selected port indices.  The fast engine
-    calls it whenever three or more ports are ready — no packets, no
-    stack, the machine's cap constants inlined as literals.
+    :attr:`select_ports` unrolls the postorder steps at compile time
+    into one straight-line Python function over flat ``(mask, packed)``
+    pairs (mask ``-1`` marks an invalid port) returning the selected
+    port indices.  The fast engine calls it whenever three or more
+    ports are ready — no packets, no stack, the machine's cap constants
+    inlined as literals.
 
     :attr:`pair_table` precomputes the two-valid-ports case: with exactly
     two valid leaves every other merge block passes through, so the
@@ -61,39 +61,13 @@ class SchemePlan:
     precomputed selections.
     """
 
-    __slots__ = ("scheme_name", "steps", "select_ports", "pair_table",
-                 "_rules", "_try_smt", "_try_csmt")
+    __slots__ = ("scheme_name", "steps", "select_ports", "pair_table")
 
     def __init__(self, scheme_name: str, steps: tuple, rules: MergeRules):
         self.scheme_name = scheme_name
         self.steps = steps
-        self._rules = rules
-        self._try_smt = rules.try_smt
-        self._try_csmt = rules.try_csmt
         self.select_ports = _specialize(steps, rules)
         self.pair_table = _pair_table(steps)
-
-    def select(self, ports) -> ExecPacket | None:
-        """Evaluate the plan on one packet-per-port list."""
-        stack = []
-        push = stack.append
-        pop = stack.pop
-        try_smt = self._try_smt
-        try_csmt = self._try_csmt
-        for op, port in self.steps:
-            if op == OP_PORT:
-                push(ports[port])
-                continue
-            b = pop()
-            a = pop()
-            if a is None:
-                push(b)
-            elif b is None:
-                push(a)
-            else:
-                merged = try_smt(a, b) if op == OP_SMT else try_csmt(a, b)
-                push(merged if merged is not None else a)
-        return stack[0]
 
     def __repr__(self) -> str:
         return (f"<SchemePlan {self.scheme_name}: "

@@ -25,9 +25,9 @@ lives in :mod:`repro.sim.batch`):
      batches of fetch records so the hot loop indexes a list instead of
      resuming a generator per fetch;
   3. *compiled scheme plans*: :meth:`~repro.merge.scheme.Scheme.compile`
-     lowers the merge AST once into a flat postorder program evaluated
-     with an explicit stack, with a precomputed pair table answering
-     two-ready cycles in one predicate.
+     lowers the merge AST once into a generated straight-line selection
+     function over the ready ports' packed summaries, with a
+     precomputed pair table answering two-ready cycles in one predicate.
 
 Every engine reports an :class:`EngineStats` snapshot
 (:meth:`Engine.engine_stats`), which the eval layer surfaces as cell

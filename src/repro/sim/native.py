@@ -24,10 +24,9 @@ pass-through / merge / keep-left step semantics.
 Everything is best-effort: no compiler, a failed compile, an unloadable
 library, or ``REPRO_NO_NATIVE=1`` all yield ``None`` and the batch
 engine silently stays on its pure-numpy paths.  The shared object is
-cached under ``$REPRO_CACHE_DIR/native`` when that variable is set (the
-program cache's convention), else under a per-user temp directory,
-keyed by the digest of the C source so editing the kernels invalidates
-stale builds.
+cached under ``$REPRO_CACHE_DIR/native`` when that variable is set,
+else under a per-user temp directory, keyed by the digest of the C
+source so editing the kernels invalidates stale builds.
 """
 
 from __future__ import annotations

@@ -19,12 +19,11 @@ together by ``tests/test_trace.py``):
 
 * ``next(stream)`` walks the control flow with a plain generator, one
   record per resume — the reference engine's per-fetch path;
-* :meth:`InstructionStream.materialize` batch-generates records with an
-  explicit ``(block, instruction)`` state machine into a buffer the fast
-  engine indexes directly, amortizing the walk overhead and reusing
-  immutable records for memory-free instructions.  The batch walk is
-  itself *generated per program* (:func:`_fill_source`): each basic
-  block becomes straight-line code — prebuilt records appended
+* :meth:`InstructionStream.materialize` batch-generates records into a
+  buffer the fast engine indexes directly, amortizing the walk overhead
+  and reusing immutable records for memory-free instructions.  The
+  batch walk is *generated per program* (:func:`_fill_source`): each
+  basic block becomes straight-line code — prebuilt records appended
   directly, address arithmetic and branch sampling inlined with the
   pattern constants baked in — dispatched by a block-index ``if``
   chain, so the fill loop pays no per-record plan lookups.  Bulk mode
@@ -41,7 +40,7 @@ from __future__ import annotations
 import random
 from itertools import islice
 
-from repro.trace.addrgen import _Random, _Stream, make_generator
+from repro.trace.addrgen import make_generator
 
 __all__ = ["Fetch", "InstructionStream"]
 
@@ -78,16 +77,12 @@ class InstructionStream:
         self._counters: dict[int, int] = {}
         #: lazy-mode walk generator (created on first ``next()``).
         self._gen = None
-        #: bulk-mode walk position: next (block, instruction) to fetch.
+        #: bulk-mode walk position: the next block to fetch (the
+        #: specialized filler always stops at a block boundary).
         self._bi = 0
-        self._mi = 0
         #: materialized-but-not-yet-consumed records (see materialize()).
         self._buf: list[Fetch] = []
         self._pos = 0
-        #: block index -> precompiled fetch plan (bulk mode), holding the
-        #: reusable immutable records and bound address generators so the
-        #: batch walk touches no dicts per record (see _block_plan()).
-        self._plans: dict = {}
         #: program-specialized batch filler (resolved on first _fill).
         self._fill_fn = None
 
@@ -102,7 +97,7 @@ class InstructionStream:
             return buf[pos]
         gen = self._gen
         if gen is None:
-            if self._bi or self._mi or buf:
+            if self._bi or buf:
                 # the bulk walk already advanced: keep producing through
                 # it so the position stays consistent.
                 if pos:
@@ -191,64 +186,8 @@ class InstructionStream:
                 bi = redirect if redirect is not None else bi + 1
 
     # ------------------------------------------------------------------
-    # bulk mode: explicit-state batch walk feeding the buffer
+    # bulk mode: the program-specialized batch walk feeding the buffer
     # ------------------------------------------------------------------
-    def _block_plan(self, bi: int) -> list:
-        """Precompile one block into per-instruction fetch entries.
-
-        Memory-free instructions get their immutable record(s) built
-        once here (branchless: the single shared record; branches: the
-        not-taken/taken pair), so :meth:`_fill` appends them with no
-        per-record allocation or dict probe.  Memory instructions bind
-        their address generators — single-access instructions unpack
-        the generator's fields so the fill loop draws the address with
-        inline arithmetic instead of a method call — and pre-split the
-        branch behavior (loop trip vs bernoulli probability), leaving
-        only the RNG draws for fill time.  Entry layouts (every
-        memory-instruction layout ends ``..., is_loop, trip_or_prob,
-        target``)::
-
-            (0, mop, br, fns, n_fns, is_loop, x, target)  generic
-            (1, shared_record)                            no mem, no br
-            (2, rec_not_taken, rec_taken, is_loop, x, target)
-            (3, mop, br, gen, base, stride, footprint, is_loop, x, target)
-            (4, mop, br, getrandbits, bits, n_slots, align, base,
-                is_loop, x, target)
-        """
-        blk = self.program.blocks[bi]
-        gens = self.gens
-        plan: list = []
-        for mop, br in zip(blk.mops, blk.branches):
-            if br is None:
-                is_loop, x, target = False, 0.0, None
-            else:
-                beh = br.behavior
-                is_loop = beh.kind == "loop"
-                x = beh.trip if is_loop else beh.prob
-                target = br.target
-            if mop.mem_ops:
-                if len(mop.mem_ops) == 1:
-                    g = gens[mop.mem_ops[0].pattern]
-                    if type(g) is _Stream:
-                        plan.append((3, mop, br, g, g.base,
-                                     g.pattern.stride, g.pattern.footprint,
-                                     is_loop, x, target))
-                        continue
-                    if type(g) is _Random:
-                        plan.append((4, mop, br, g._getrandbits, g._bits,
-                                     g._n_slots, g._align, g.base,
-                                     is_loop, x, target))
-                        continue
-                fns = tuple(gens[op.pattern].next_address
-                            for op in mop.mem_ops)
-                plan.append((0, mop, br, fns, len(fns), is_loop, x, target))
-            elif br is None:
-                plan.append((1, Fetch(mop, False, (), None)))
-            else:
-                plan.append((2, Fetch(mop, False, (), br),
-                             Fetch(mop, True, (), br), is_loop, x, target))
-        return plan
-
     def _fill(self, n: int) -> None:
         """Append at least the next ``n`` records of the walk to the
         buffer (the specialized filler stops at basic-block boundaries,
@@ -258,111 +197,10 @@ class InstructionStream:
         before its branch outcome (address generators and branch
         sampling share the thread RNG), exactly like :meth:`_walk`.
         """
-        if self._mi == 0:
-            fn = self._fill_fn
-            if fn is None:
-                fn = self._fill_fn = _fill_fn_for(self.program)
-            if fn is not False:
-                fn(self, n)
-                return
-        self._fill_generic(n)
-
-    def _fill_generic(self, n: int) -> None:
-        """Interpreted batch walk: used when the stream stopped inside
-        a basic block (only possible if the specialized filler was
-        unavailable) or when specialization is unsupported."""
-        buf = self._buf
-        append = buf.append
-        n_blocks = len(self.program.blocks)
-        rng_random = self.rng.random
-        take_loop = self._take_loop
-        plans = self._plans
-        bi = self._bi
-        mi = self._mi
-        produced = 0
-        while produced < n:
-            if bi >= n_blocks:  # fell off the end: kernel restarts
-                bi = 0
-                mi = 0
-            plan = plans.get(bi)
-            if plan is None:
-                plan = plans[bi] = self._block_plan(bi)
-            n_mops = len(plan)
-            redirect = None
-            while mi < n_mops:
-                ent = plan[mi]
-                mi += 1
-                tag = ent[0]
-                if tag == 1:  # memory-free, branchless: shared record
-                    append(ent[1])
-                    produced += 1
-                    if produced >= n:
-                        break
-                elif tag == 2:  # memory-free branch: prebuilt pair
-                    if ent[3]:
-                        taken = take_loop(bi, ent[4])
-                    else:
-                        x = ent[4]
-                        taken = x >= 1.0 or rng_random() < x
-                    if taken:
-                        append(ent[2])
-                        produced += 1
-                        redirect = ent[5]
-                        break
-                    append(ent[1])
-                    produced += 1
-                    if produced >= n:
-                        break
-                else:  # memory instruction: draw addresses, then branch
-                    if tag == 3:  # one streaming access, inlined
-                        g = ent[3]
-                        pos = g.pos
-                        addrs = (ent[4] + pos,)
-                        g.pos = (pos + ent[5]) % ent[6]
-                    elif tag == 4:  # one random access, inlined
-                        grb = ent[3]
-                        bits = ent[4]
-                        ns = ent[5]
-                        r = grb(bits)
-                        while r >= ns:
-                            r = grb(bits)
-                        addrs = (ent[7] + r * ent[6],)
-                    else:
-                        fns = ent[3]
-                        nf = ent[4]
-                        if nf == 1:
-                            addrs = (fns[0](),)
-                        elif nf == 2:
-                            addrs = (fns[0](), fns[1]())
-                        elif nf == 3:
-                            addrs = (fns[0](), fns[1](), fns[2]())
-                        elif nf == 4:
-                            addrs = (fns[0](), fns[1](), fns[2](), fns[3]())
-                        else:
-                            addrs = tuple(f() for f in fns)
-                    br = ent[2]
-                    taken = False
-                    if br is not None:
-                        if ent[-3]:
-                            taken = take_loop(bi, ent[-2])
-                        else:
-                            x = ent[-2]
-                            taken = x >= 1.0 or rng_random() < x
-                    append(Fetch(ent[1], taken, addrs, br))
-                    produced += 1
-                    if taken:
-                        redirect = ent[-1]
-                        break
-                    if produced >= n:
-                        break
-            if redirect is not None:
-                bi = redirect
-                mi = 0
-            elif mi >= n_mops:
-                bi += 1
-                mi = 0
-        self._bi = bi
-        self._mi = mi
+        fn = self._fill_fn
+        if fn is None:
+            fn = self._fill_fn = _fill_fn_for(self.program)
+        fn(self, n)
 
 
 # ----------------------------------------------------------------------

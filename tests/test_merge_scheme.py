@@ -254,9 +254,9 @@ class TestParallelSerialProperty:
 
 
 class TestCompiledPlanProperty:
-    """Satellite property: the compiled plan (stack interpreter, the
-    specialized straight-line function and the pair table) must match
-    ``root.eval`` on the same inputs for every registry scheme."""
+    """Satellite property: the compiled plan (the specialized
+    straight-line function and the pair table) must match ``root.eval``
+    on the same inputs for every registry scheme."""
 
     @staticmethod
     @st.composite
@@ -264,17 +264,6 @@ class TestCompiledPlanProperty:
         name = draw(st.sampled_from(["ST", "1S"] + PAPER_SCHEMES))
         scheme = get_scheme(name)
         return scheme, _ports_for(draw, scheme.n_ports)
-
-    @given(registry_case())
-    def test_plan_select_matches_eval(self, case):
-        scheme, ports = case
-        plan = scheme.compile(RULES)
-        a = scheme.root.eval(ports, RULES)
-        b = plan.select(ports)
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert (a.mask, a.packed, a.n_ops, a.ports) == \
-                (b.mask, b.packed, b.n_ops, b.ports)
 
     @given(registry_case())
     def test_specialized_function_matches_eval(self, case):

@@ -14,6 +14,7 @@ Backend *store* parity (round-trips, mixed-backend merge) is covered by
 ``tests/test_backends.py``, which parametrizes over the queue kind.
 """
 
+import dataclasses
 import threading
 import time
 
@@ -30,7 +31,9 @@ from repro.eval import (
     run_worker,
 )
 from repro.eval.backends import QueueBackend
+from repro.eval.evaluator import DEFAULT_RUNGS, rung_configs
 from repro.eval.experiments import default_config, experiment_cells
+from repro.eval.search import run_search
 
 #: 2-thread sweep over one workload: a 2-cell grid, the cheapest real
 #: campaign (sub-second at scale 0.05).
@@ -466,6 +469,22 @@ class TestDrainIdentity:
         init_queue(url, SPEC)
         with pytest.raises(StoreMismatchError):
             Session(config=default_config(0.10), store=url)
+
+    def test_search_mismatch_names_the_differing_field(self, tmp_path):
+        """Workers rebuild configs from the spec's presets, which carry
+        the default seed, so a seed-2 session cannot coordinate the
+        search, and the error names the differing field."""
+        base = dataclasses.replace(default_config(0.04), seed=2)
+        session = Session(config=base, configs=rung_configs(base),
+                          store=_url(tmp_path))
+        spec = CampaignSpec(
+            experiment="sweep2", scale=0.04, kind="search",
+            workloads=("LLLL",),
+            configs=tuple((r.tag, r.scale) for r in DEFAULT_RUNGS if r.tag))
+        with pytest.raises(StoreMismatchError,
+                           match=r"config\.seed: 2 \(store\) vs 1 "
+                                 r"\(this run\)"):
+            run_search(session, 2, ["LLLL"], queue_spec=spec)
 
     def test_migrating_a_directory_run_marks_cells_done(self, tmp_path):
         """OPERATIONS.md §6: init the queue, merge the old run in, only

@@ -1,5 +1,6 @@
 """Grid runner, run store, compile cache and CLI orchestration tests."""
 
+import dataclasses
 import json
 
 import pytest
@@ -161,26 +162,21 @@ class TestRunStore:
 
 
 class TestProgramCache:
-    def test_disk_cache_skips_recompilation(self, tmp_path, monkeypatch,
-                                            machine):
+    def test_compiles_once_per_key(self, monkeypatch, machine):
         import repro.kernels.cache as cache_mod
 
         calls = []
         real = cache_mod.compile_kernel
         monkeypatch.setattr(cache_mod, "compile_kernel",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        cache = ProgramCache()
         spec = SUITE[0]
-        warm = ProgramCache(str(tmp_path))
-        prog1 = warm.get(spec, machine)
-        assert len(calls) == 1 and warm.compiles == 1
-        # fresh cache, same directory: served from disk, no recompile
-        cold = ProgramCache(str(tmp_path))
-        prog2 = cold.get(spec, machine)
-        assert len(calls) == 1 and cold.disk_hits == 1
-        assert prog1.dump() == prog2.dump()
-        # memory hit on repeat
-        assert cold.get(spec, machine) is prog2
-        assert cold.memory_hits == 1
+        prog = cache.get(spec, machine)
+        assert cache.get(spec, machine) is prog
+        assert len(calls) == 1 and cache.compiles == 1
+        assert cache.memory_hits == 1
+        cache.get(spec, machine, CompilerOptions(unroll_scale=2.0))
+        assert len(calls) == 2
 
     def test_key_changes_with_options(self, machine):
         spec = SUITE[0]
@@ -188,13 +184,16 @@ class TestProgramCache:
         other = cache_key(spec, machine, CompilerOptions(unroll_scale=2.0))
         assert base != other
 
-    def test_corrupt_disk_entry_falls_back(self, tmp_path, machine):
-        spec = SUITE[0]
-        cache = ProgramCache(str(tmp_path))
-        key = cache_key(spec, machine, CompilerOptions())
-        (tmp_path / f"{key}.pkl").write_bytes(b"not a pickle")
-        prog = cache.get(spec, machine)
-        assert prog is not None and cache.compiles == 1
+    def test_dir_store_holds_no_programs(self, tmp_path, machine):
+        """Compiled programs live in memory only: a directory store
+        holds campaign state and nothing else.  The renamed machine has
+        its own fingerprint, so its programs are compiled here, not
+        served from an earlier test's memo."""
+        fresh = dataclasses.replace(machine, name="paper-no-programs")
+        Session(machine=fresh, config=TINY,
+                store=f"dir:{tmp_path / 'run'}").run("fig4")
+        assert (tmp_path / "run" / "cells").is_dir()
+        assert not (tmp_path / "run" / "programs").exists()
 
 
 class TestCli:
