@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.merge.packet import ExecPacket, MergeRules
 
-__all__ = ["Leaf", "Node", "ParCsmt", "Scheme", "SchemePlan"]
+__all__ = ["DispatchTable", "Leaf", "Node", "ParCsmt", "Scheme", "SchemePlan"]
 
 # Compiled-plan opcodes: push a port's packet / merge the top two stack
 # entries with the SMT or CSMT rule.
@@ -163,6 +163,57 @@ def _pair_table(steps: tuple) -> dict:
     return table
 
 
+class DispatchTable(dict):
+    """Ready-context dispatch under one rotation schedule, filled on demand.
+
+    Keys are ``(rot << n) | mask``: ``rot`` indexes the rotation schedule
+    (``perms[rot][p]`` is the context slot bound to port ``p``) and bit
+    ``c`` of ``mask`` marks context slot ``c`` ready.  Each entry is a
+    triple ``(k, perm, ready)``: the number of ready ports, the port
+    binding of that rotation step, and the ready ports in port order —
+
+    * ``k == 1``: ``ready = (p,)``, which every merge block passes
+      through, so it is already the selection;
+    * ``k == 2``: ``ready = (i, j)``, the key of the pair's
+      :attr:`SchemePlan.pair_table` entry;
+    * ``k >= 3``: ``ready = ((2 * p, perm[p]), ...)``: the argument
+      offset of each ready port's ``(mask, packed)`` pair in
+      :attr:`SchemePlan.select_ports` and the context bound there.
+
+    Nothing in an entry depends on the merge tree, so every scheme with
+    the same rotation schedule shares one table (:meth:`Scheme.dispatch`).
+    An eager table would hold ``len(perms) * 2**n`` entries (about a
+    million for the 16-port schemes the grammar accepts), so entries are
+    built by :meth:`entry` on first lookup and the table only ever holds
+    the ``(rot, mask)`` combinations simulations actually reached.
+    """
+
+    __slots__ = ("perms", "n")
+
+    def __init__(self, perms: tuple):
+        super().__init__()
+        self.perms = perms
+        self.n = len(perms[0])
+
+    def __missing__(self, key: int) -> tuple:
+        n = self.n
+        entry = self[key] = self.entry(key >> n, key & ((1 << n) - 1))
+        return entry
+
+    def entry(self, rot: int, mask: int) -> tuple:
+        """Build the entry for rotation step ``rot`` and ready ``mask``."""
+        perm = self.perms[rot]
+        ready = tuple(p for p, c in enumerate(perm) if mask >> c & 1)
+        if len(ready) >= 3:
+            return (len(ready), perm, tuple((p + p, perm[p]) for p in ready))
+        return (len(ready), perm, ready)
+
+
+#: (port count, balanced tree?) -> the DispatchTable of that rotation
+#: schedule, shared by every scheme using it.
+_DISPATCH: dict = {}
+
+
 def _lower(node, steps: list) -> None:
     """Postorder-lower one AST node onto ``steps``."""
     if node.kind == "leaf":
@@ -291,7 +342,13 @@ class Scheme:
                 f"once, got {ls}"
             )
         self.n_ports = len(ls)
-        self._perms = self._rotation_schedule()
+        # the schedule depends only on the port count and the wiring
+        key = (self.n_ports, self._is_balanced_tree())
+        table = _DISPATCH.get(key)
+        if table is None:
+            table = _DISPATCH[key] = DispatchTable(self._rotation_schedule())
+        self._dispatch = table
+        self._perms = table.perms
         self._plans: dict = {}
 
     def select(self, ports, rules: MergeRules) -> ExecPacket | None:
@@ -338,6 +395,11 @@ class Scheme:
     def port_permutations(self):
         """Rotation schedule: ``perm[p]`` = context bound to port ``p``."""
         return self._perms
+
+    def dispatch(self) -> DispatchTable:
+        """The :class:`DispatchTable` shared by every scheme with this
+        rotation schedule."""
+        return self._dispatch
 
     def diagram(self) -> str:
         """ASCII rendering of the merge tree (Figure 8 style)::

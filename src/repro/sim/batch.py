@@ -761,8 +761,7 @@ class _LockstepSim:
         r_taken = self.r_taken
         r_na = self.r_na
         NL = self.NL
-        for rec in buf[:take]:
-            mop = rec.mop
+        for mop, taken, addrs, _ in buf[:take]:
             ent = mc.get(id(mop))
             if ent is None:
                 limbs = tuple((mop.packed >> (64 * li)) & m64
@@ -779,8 +778,7 @@ class _LockstepSim:
             r_mask[g] = mask
             r_plimb[g] = limbs
             r_nops[g] = nops
-            r_taken[g] = rec.taken
-            addrs = rec.addrs
+            r_taken[g] = taken
             r_na[g] = len(addrs)
             if not i_perf:
                 r_iline[g] = iline

@@ -17,14 +17,28 @@ lives in :mod:`repro.sim.batch`):
   (machine-wide :class:`SimStats`, per-thread counters, cache hit/miss
   counts, timeslice accounting) but several times faster, via
 
-  1. *idle-cycle skipping*: when every resident thread is stalled the
+  1. *slot-indexed state*: for the length of one ``run`` call each
+     resident context's pending record, ``stall_until``, counters and
+     stream buffer position live in local lists indexed by context
+     slot, and the cache counters and merged-width histogram in locals;
+     everything is flushed back to the threads, caches and stats on
+     exit;
+  2. *ready-mask dispatch*: one pass over the resident contexts fetches
+     and builds a bitmask of ready contexts; ``(rotation, mask)``
+     indexes a :class:`~repro.merge.scheme.DispatchTable` shared by
+     every scheme with the same rotation schedule and filled on demand,
+     which yields the ready ports in port order (for two ready ports,
+     directly the plan's pair-table key);
+  3. *idle-cycle skipping*: when every resident thread is stalled the
      engine jumps straight to the earliest ``stall_until`` and accounts
      the skipped cycles as vertical waste in one step;
-  2. *materialized instruction streams*:
+  4. *materialized instruction streams*:
      :meth:`~repro.trace.stream.InstructionStream.materialize` pre-builds
-     batches of fetch records so the hot loop indexes a list instead of
-     resuming a generator per fetch;
-  3. *compiled scheme plans*: :meth:`~repro.merge.scheme.Scheme.compile`
+     batches of ``(mop, taken, addrs, branch)`` record tuples so the hot
+     loop indexes a list instead of resuming a generator per fetch (a
+     stream's batches grow geometrically, so short cells generate
+     little they never fetch);
+  5. *compiled scheme plans*: :meth:`~repro.merge.scheme.Scheme.compile`
      lowers the merge AST once into a generated straight-line selection
      function over the ready ports' packed summaries, with a
      precomputed pair table answering two-ready cycles in one predicate.
@@ -41,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+from repro.merge.packet import ExecPacket
 from repro.sim.cache import Cache, PerfectCache
 
 __all__ = [
@@ -124,7 +139,7 @@ class ReferenceEngine(Engine):
                     continue
                 if ctx.pending is None:
                     ctx.fetch()
-                    if not icache.access(ctx.pending.mop.address):
+                    if not icache.access(ctx.pending[0].address):
                         ctx.icache_misses += 1
                         ctx.stall_until = cycle + icache.miss_penalty
 
@@ -135,7 +150,13 @@ class ReferenceEngine(Engine):
                 ctx = contexts[perm[p]]
                 if (ctx is not None and ctx.pending is not None
                         and ctx.stall_until <= cycle):
-                    ports[p] = ctx.packet
+                    packet = ctx.packet
+                    if packet is None:
+                        # fetched by another engine, which builds no
+                        # packets: wrap the pending instruction now
+                        packet = ctx.packet = ExecPacket.from_mop(
+                            ctx.pending[0], ctx)
+                    ports[p] = packet
                     any_ready = True
                 else:
                     ports[p] = None
@@ -151,19 +172,19 @@ class ReferenceEngine(Engine):
                 stats.record_issue(len(threads), selected.n_ops)
                 finished = None
                 for ctx in threads:
-                    rec = ctx.pending
+                    mop, taken, addrs, _ = ctx.pending
                     ctx.issued_instrs += 1
-                    ctx.issued_ops += rec.mop.n_ops
+                    ctx.issued_ops += mop.n_ops
                     pen = 0
-                    is_load = rec.mop.mem_is_load
-                    for k, addr in enumerate(rec.addrs):
+                    is_load = mop.mem_is_load
+                    for k, addr in enumerate(addrs):
                         if not dcache.access(addr):
                             ctx.dcache_misses += 1
                             # only load misses stall the thread: store
                             # misses drain through the write buffer
                             if is_load[k]:
                                 pen += dcache.miss_penalty
-                    if rec.taken:
+                    if taken:
                         ctx.taken_branches += 1
                         pen += br_penalty
                     if pen:
@@ -187,15 +208,33 @@ class FastEngine(Engine):
 
     Safe by construction, mechanism by mechanism:
 
-    * *idle skipping* only compresses cycles in which the reference
-      provably does nothing: after the fetch phase every unstalled
-      resident thread holds a pending instruction, so "no port ready"
-      means every resident thread is stalled and nothing can change
-      before the earliest ``stall_until``.
+    * *slot-indexed state*: each resident context's pending record,
+      ``stall_until``, counters and stream buffer position live in local
+      lists indexed by context slot, and cache hit/miss counters and
+      statistics in locals; all of it is flushed to the
+      :class:`~repro.sim.thread.ThreadState` objects, caches and
+      :class:`SimStats` on every exit.  Nobody observes that state
+      mid-run (the OS scheduler reads it between timeslices only).
+    * *ready-mask dispatch*: one pass over the resident contexts, in
+      context order, does the fetch and sets bit ``c`` of a ready mask
+      for every context left unstalled.  That is exactly the reference's
+      ready set: after its fetch phase an unstalled context always holds
+      a pending instruction (it either had one or just fetched one), and
+      a context stalled by the fetch's ICache miss is not ready.  The
+      port binding is a pure function of the rotation step, so
+      ``(rotation, mask)`` determines the ready ports in port order; the
+      rotation schedule's :class:`~repro.merge.scheme.DispatchTable`
+      caches that answer per combination reached.
+    * *idle skipping*: an empty mask means every resident thread is
+      stalled, and nothing can change before the earliest
+      ``stall_until``, so those cycles are accounted as vertical waste in
+      one step.
     * *single-ready bypass*: with exactly one valid port every merge
       block passes it through unchanged (``Node.eval`` semantics), so
-      the selection is that port — no plan evaluation needed.  Measured
-      on the paper's workloads this covers the large majority of cycles.
+      the selection is that port — no plan evaluation needed.  When every
+      other resident thread stays stalled for a few more cycles, a
+      dedicated single-thread loop runs until the earliest of those
+      stalls expires (*solo burst*).
     * *pair table*: with exactly two ready ports the selection is one
       precomputed ancestor predicate over the two instructions'
       ``(mask, packed)``; three or more ready ports evaluate the
@@ -205,14 +244,21 @@ class FastEngine(Engine):
       leaves the true-LRU state unchanged (the MRU entry is re-appended
       in place), so only the hit counter is bumped; a
       :class:`PerfectCache` always hits by definition.
-    * statistics are accumulated in locals and flushed on exit — nobody
-      observes ``SimStats`` mid-run (the OS scheduler reads it between
-      timeslices only).
+
+    The fast path never builds :class:`~repro.merge.packet.ExecPacket`
+    objects: it leaves ``ThreadState.packet`` at ``None`` and the
+    reference engine builds the packet on demand, so the two engines can
+    take turns on one core.
     """
 
     name = "fast"
 
-    #: fetch records materialized per stream refill.
+    #: fetch records materialized per stream refill: a stream's first
+    #: refill asks for STREAM_FIRST records and each later one for twice
+    #: the previous batch, up to STREAM_BATCH.  Short cells (a guided
+    #: search's reduced-fidelity rungs fetch a few hundred records per
+    #: thread) then walk little past what they consume.
+    STREAM_FIRST = 64
     STREAM_BATCH = 512
 
     def run(self, core, max_cycles: int, instr_limit: int | None = None) -> str:
@@ -228,15 +274,15 @@ class FastEngine(Engine):
         n_perms = len(perms)
         rotate = core.rotate and n > 1
         plan = core.scheme.compile(core.rules)
+        first = self.STREAM_FIRST
         batch = self.STREAM_BATCH
         caps_high = core.rules.caps_high
         high = core.rules.high
-        pair_table = plan.pair_table
         limit = (1 << 62) if instr_limit is None else instr_limit
 
         # cache specialization: known types get the guaranteed-hit fast
-        # paths (and fully inlined LRU bookkeeping inside solo bursts);
-        # anything else goes through plain access() calls.
+        # paths and fully inlined LRU bookkeeping; anything else goes
+        # through plain access() calls, which count for themselves.
         icache_access = icache.access
         dcache_access = dcache.access
         i_perf = type(icache) is PerfectCache
@@ -260,10 +306,10 @@ class FastEngine(Engine):
         last_iline = -1
         last_dline = -1
 
-        cycle = core.cycle
+        cycle = start = core.cycle
         end = cycle + max_cycles
         rot = core._rot
-        live = [ctx for ctx in contexts if ctx is not None]
+        live = tuple(c for c, ctx in enumerate(contexts) if ctx is not None)
         if not live:
             # nothing resident: the reference burns the whole budget as
             # vertical waste, one cycle at a time.  Do it in one step.
@@ -275,52 +321,76 @@ class FastEngine(Engine):
                 core._rot = (rot + waste) % n_perms
             return "timeslice"
 
-        # context tuple per rotation step: perm_ctxs[rot][p] is the
-        # context bound to port p (contexts are fixed within one run).
-        perm_ctxs = [tuple(contexts[p] for p in perm) for perm in perms]
-        solo_sel = tuple((p,) for p in range(n))
-        port_ctx = [None] * n
+        # ------------------------------------------ slot-indexed state
+        # one entry per context slot; empty slots' entries stay unused
+        streams = [None] * n
+        bufs = [None] * n
+        poss = [0] * n
+        pend = [None] * n
+        stall = [0] * n
+        instrs = [0] * n
+        ops = [0] * n
+        imiss = [0] * n
+        dmiss = [0] * n
+        takens = [0] * n
+        # the resident contexts other than c (the solo-burst horizon)
+        others = [()] * n
+        for i, c in enumerate(live):
+            t = contexts[c]
+            stream = streams[c] = t.stream
+            bufs[c] = stream._buf
+            poss[c] = stream._pos
+            pend[c] = t.pending
+            stall[c] = t.stall_until
+            instrs[c] = t.issued_instrs
+            ops[c] = t.issued_ops
+            others[c] = live[:i] + live[i + 1:]
+
+        def refill(c: int, pos: int) -> list:
+            # slot c consumed its whole buffer (pos == len): ask for twice
+            # that many records, clamped to [STREAM_FIRST, STREAM_BATCH]
+            stream = streams[c]
+            stream._pos = pos
+            size = pos + pos
+            buf = bufs[c] = stream.materialize(
+                first if size < first else batch if size > batch else size)
+            return buf
+
+        # ready-mask dispatch: key = (rot << n) | mask
+        table = core.scheme.dispatch()
+        pair_table = plan.pair_table
+        rkey = rot << n
+        rstep = 1 << n
+        rwrap = n_perms << n
         select_ports = plan.select_ports
-        args = [0] * (2 * n)
-        # count of threads that may need a fetch; the scan itself stays
-        # in context order — programs may share address ranges, so the
-        # icache must see accesses in exactly the reference's order.
-        n_unfetched = sum(1 for ctx in live if ctx.pending is None)
+        blank = [-1, 0] * n
 
         # local stats accumulators, flushed at every exit.
-        cycles_acc = 0
+        i_hits = i_misses = d_hits = d_misses = 0
         waste_acc = 0
-        ops_acc = 0
-        instrs_acc = 0
-        solo_issues = 0
-        hist: dict = {}
-        finished = None
-        status = "timeslice"
+        hist = [0] * (n + 1)
+        finished = False
 
         while cycle < end:
-            # ---------------------------------------------------- fetch
-            if n_unfetched:
-                for ctx in live:
-                    if ctx.pending is not None or ctx.stall_until > cycle:
-                        continue
-                    n_unfetched -= 1
-                    stream = ctx.stream
-                    pos = stream._pos
-                    buf = stream._buf
+            # ------------------------------------------- fetch + ready
+            # in context order: programs may share address ranges, so
+            # the icache must see fetches in exactly the reference's order
+            mask = 0
+            for c in live:
+                if stall[c] > cycle:
+                    continue
+                if pend[c] is None:
+                    pos = poss[c]
+                    buf = bufs[c]
                     if pos >= len(buf):
-                        buf = stream.materialize(batch)
+                        buf = refill(c, pos)
                         pos = 0
-                    rec = buf[pos]
-                    stream._pos = pos + 1
-                    ctx.pending = rec
-                    ctx.packet = None  # fast path never builds packets
-                    addr = rec.mop.address
-                    if i_perf:
-                        icache.hits += 1
-                    elif i_shift is not None:
-                        line = addr >> i_shift
+                    rec = pend[c] = buf[pos]
+                    poss[c] = pos + 1
+                    if i_shift is not None:
+                        line = rec[0].address >> i_shift
                         if line == last_iline:
-                            icache.hits += 1
+                            i_hits += 1
                         else:
                             last_iline = line
                             if i_set_mask >= 0:
@@ -330,98 +400,72 @@ class FastEngine(Engine):
                             if line in ways:
                                 ways.remove(line)
                                 ways.append(line)
-                                icache.hits += 1
+                                i_hits += 1
                             else:
                                 ways.append(line)
                                 if len(ways) > i_assoc:
                                     ways.pop(0)
-                                icache.misses += 1
-                                ctx.icache_misses += 1
-                                ctx.stall_until = cycle + i_penalty
-                    elif not icache_access(addr):
-                        ctx.icache_misses += 1
-                        ctx.stall_until = cycle + i_penalty
+                                i_misses += 1
+                                imiss[c] += 1
+                                stall[c] = cycle + i_penalty
+                                continue
+                    elif i_perf:
+                        i_hits += 1
+                    elif not icache_access(rec[0].address):
+                        imiss[c] += 1
+                        stall[c] = cycle + i_penalty
+                        continue
+                mask |= 1 << c
 
-            # ---------------------------------------------------- merge
-            pctx = perm_ctxs[rot]
-            nready = 0
-            solo = 0
-            solo2 = 0
-            for p in range(n):
-                ctx = pctx[p]
-                if (ctx is not None and ctx.pending is not None
-                        and ctx.stall_until <= cycle):
-                    port_ctx[p] = ctx
-                    if nready == 0:
-                        solo = p
-                    elif nready == 1:
-                        solo2 = p
-                    nready += 1
-                else:
-                    port_ctx[p] = None
-
-            if not nready:
+            if not mask:
                 # ------------------------------------------- idle skip
-                nxt = min(ctx.stall_until for ctx in live)
+                nxt = min([stall[c] for c in live])
                 skip = nxt - cycle
                 remaining = end - cycle
                 if skip >= remaining:
                     skip = remaining
-                cycles_acc += skip
                 waste_acc += skip
                 cycle += skip
                 if rotate:
-                    rot = (rot + skip) % n_perms
+                    rkey = (((rkey >> n) + skip) % n_perms) << n
                 continue
 
+            nready, perm, ready = table[rkey | mask]
             if nready == 1:
-                # ------------------------------------------ solo burst
-                # Every other resident thread is stalled (an unstalled
-                # thread would hold a pending instruction after the
-                # fetch phase and be ready).  Until the earliest of
-                # those stalls expires, only this thread can make
-                # progress, so run it in a dedicated single-thread loop.
-                t = port_ctx[solo]
+                c = perm[ready[0]]
                 until = end
-                for ctx in live:
-                    if ctx is not t:
-                        su = ctx.stall_until
-                        if su < until:
-                            until = su
+                for o in others[c]:
+                    su = stall[o]
+                    if su < until:
+                        until = su
                 if until - cycle >= 4:
-                    # Thread state, cache counters and LRU bookkeeping
-                    # are hoisted into locals for the burst and flushed
-                    # once at its end — nothing else can observe them
-                    # while the burst runs.
+                    # ------------------------------------ solo burst
+                    # Every other resident thread is stalled (an
+                    # unstalled one would be in the mask).  Until the
+                    # earliest of those stalls expires only this thread
+                    # can make progress: run it in a single-thread loop.
                     burst_start = cycle
-                    stream = t.stream
-                    t_instrs = t.issued_instrs
-                    t_ops = t.issued_ops
-                    t_stall = t.stall_until
-                    pending = t.pending
-                    t_imiss = t_dmiss = t_takens = 0
-                    i_hits = i_misses = d_hits = d_misses = 0
+                    buf = bufs[c]
+                    pos = poss[c]
+                    pending = pend[c]
+                    t_stall = stall[c]
+                    t_instrs = instrs[c]
+                    t_ops = ops[c]
+                    t_dmiss = t_takens = 0
                     while cycle < until:
                         if t_stall > cycle:
                             st = t_stall if t_stall < until else until
-                            d = st - cycle
-                            cycles_acc += d
-                            waste_acc += d
+                            waste_acc += st - cycle
                             cycle = st
                             continue
                         if pending is None:
-                            pos = stream._pos
-                            buf = stream._buf
                             if pos >= len(buf):
-                                buf = stream.materialize(batch)
+                                buf = refill(c, pos)
                                 pos = 0
                             pending = buf[pos]
-                            stream._pos = pos + 1
-                            addr = pending.mop.address
-                            if i_perf:
-                                i_hits += 1
-                            elif i_shift is not None:
-                                line = addr >> i_shift
+                            pos += 1
+                            if i_shift is not None:
+                                line = pending[0].address >> i_shift
                                 if line == last_iline:
                                     i_hits += 1
                                 else:
@@ -439,24 +483,22 @@ class FastEngine(Engine):
                                         if len(ways) > i_assoc:
                                             ways.pop(0)
                                         i_misses += 1
-                                        t_imiss += 1
+                                        imiss[c] += 1
                                         t_stall = cycle + i_penalty
                                         continue
-                            elif not icache_access(addr):
-                                t_imiss += 1
+                            elif i_perf:
+                                i_hits += 1
+                            elif not icache_access(pending[0].address):
+                                imiss[c] += 1
                                 t_stall = cycle + i_penalty
                                 continue
-                        mop = pending.mop
+                        mop, taken, addrs, _ = pending
+                        pending = None
                         t_instrs += 1
-                        nops = mop.n_ops
-                        t_ops += nops
-                        ops_acc += nops
+                        t_ops += mop.n_ops
                         pen = 0
-                        addrs = pending.addrs
                         if addrs:
-                            if d_perf:
-                                d_hits += len(addrs)
-                            elif d_shift is not None:
+                            if d_shift is not None:
                                 is_load = mop.mem_is_load
                                 for k, addr in enumerate(addrs):
                                     line = addr >> d_shift
@@ -480,6 +522,8 @@ class FastEngine(Engine):
                                         t_dmiss += 1
                                         if is_load[k]:
                                             pen += d_penalty
+                            elif d_perf:
+                                d_hits += len(addrs)
                             else:
                                 is_load = mop.mem_is_load
                                 for k, addr in enumerate(addrs):
@@ -487,53 +531,39 @@ class FastEngine(Engine):
                                         t_dmiss += 1
                                         if is_load[k]:
                                             pen += d_penalty
-                        if pending.taken:
+                        if taken:
                             t_takens += 1
                             pen += br_penalty
-                        pending = None
-                        solo_issues += 1
-                        cycles_acc += 1
                         cycle += 1
                         if pen:
                             # cycle already advanced: old cycle + 1 + pen
                             t_stall = cycle + pen
                         if t_instrs >= limit:
-                            finished = t
+                            finished = True
                             break
                     # -------------------------------- flush burst state
-                    t.issued_instrs = t_instrs
-                    t.issued_ops = t_ops
-                    t.stall_until = t_stall
-                    t.pending = pending
-                    t.packet = None
-                    if t_imiss:
-                        t.icache_misses += t_imiss
+                    hist[1] += t_instrs - instrs[c]
+                    poss[c] = pos
+                    pend[c] = pending
+                    stall[c] = t_stall
+                    instrs[c] = t_instrs
+                    ops[c] = t_ops
                     if t_dmiss:
-                        t.dcache_misses += t_dmiss
+                        dmiss[c] += t_dmiss
                     if t_takens:
-                        t.taken_branches += t_takens
-                    if i_hits:
-                        icache.hits += i_hits
-                    if i_misses:
-                        icache.misses += i_misses
-                    if d_hits:
-                        dcache.hits += d_hits
-                    if d_misses:
-                        dcache.misses += d_misses
+                        takens[c] += t_takens
                     if rotate:
-                        rot = (rot + (cycle - burst_start)) % n_perms
-                    if pending is None:
-                        n_unfetched += 1
-                    if finished is not None:
-                        status = "limit"
+                        rkey = (((rkey >> n) + (cycle - burst_start))
+                                % n_perms) << n
+                    if finished:
                         break
                     continue
-                sel = solo_sel[solo]
+                sel = ready
             elif nready == 2:
                 # two ready ports: one precomputed ancestor predicate
-                is_smt, pa, pb, sel_first, sel_both = pair_table[solo, solo2]
-                ma = port_ctx[pa].pending.mop
-                mb = port_ctx[pb].pending.mop
+                is_smt, pa, pb, sel_first, sel_both = pair_table[ready]
+                ma = pend[perm[pa]][0]
+                mb = pend[perm[pb]][0]
                 if is_smt:
                     s = ma.packed + mb.packed
                     sel = sel_both if (caps_high - s) & high == high \
@@ -541,38 +571,28 @@ class FastEngine(Engine):
                 else:
                     sel = sel_first if ma.mask & mb.mask else sel_both
             else:
-                for p in range(n):
-                    ctx = port_ctx[p]
-                    pp = p + p
-                    if ctx is None:
-                        args[pp] = -1
-                        args[pp + 1] = 0
-                    else:
-                        mop = ctx.pending.mop
-                        args[pp] = mop.mask
-                        args[pp + 1] = mop.packed
+                args = blank[:]
+                for pp, c in ready:
+                    mop = pend[c][0]
+                    args[pp] = mop.mask
+                    args[pp + 1] = mop.packed
                 sel = select_ports(*args)
 
             # ---------------------------------------------------- issue
-            n_ops = 0
             for p in sel:
-                ctx = port_ctx[p]
-                rec = ctx.pending
-                mop = rec.mop
-                ctx.issued_instrs += 1
-                ctx.issued_ops += mop.n_ops
-                n_ops += mop.n_ops
+                c = perm[p]
+                mop, taken, addrs, _ = pend[c]
+                pend[c] = None
+                ops[c] += mop.n_ops
+                t_instrs = instrs[c] = instrs[c] + 1
                 pen = 0
-                addrs = rec.addrs
                 if addrs:
-                    if d_perf:
-                        dcache.hits += len(addrs)
-                    elif d_shift is not None:
+                    if d_shift is not None:
                         is_load = mop.mem_is_load
                         for k, addr in enumerate(addrs):
                             line = addr >> d_shift
                             if line == last_dline:
-                                dcache.hits += 1
+                                d_hits += 1
                                 continue
                             last_dline = line
                             if d_set_mask >= 0:
@@ -582,62 +602,76 @@ class FastEngine(Engine):
                             if line in ways:
                                 ways.remove(line)
                                 ways.append(line)
-                                dcache.hits += 1
+                                d_hits += 1
                             else:
                                 ways.append(line)
                                 if len(ways) > d_assoc:
                                     ways.pop(0)
-                                dcache.misses += 1
-                                ctx.dcache_misses += 1
+                                d_misses += 1
+                                dmiss[c] += 1
                                 # store misses drain through the write
                                 # buffer and do not stall
                                 if is_load[k]:
                                     pen += d_penalty
+                    elif d_perf:
+                        d_hits += len(addrs)
                     else:
                         is_load = mop.mem_is_load
                         for k, addr in enumerate(addrs):
                             if not dcache_access(addr):
-                                ctx.dcache_misses += 1
+                                dmiss[c] += 1
                                 if is_load[k]:
                                     pen += d_penalty
-                if rec.taken:
-                    ctx.taken_branches += 1
+                if taken:
+                    takens[c] += 1
                     pen += br_penalty
                 if pen:
-                    ctx.stall_until = cycle + 1 + pen
-                ctx.pending = None
-                n_unfetched += 1
-                if ctx.issued_instrs >= limit:
-                    finished = ctx
-            ops_acc += n_ops
-            nsel = len(sel)
-            instrs_acc += nsel
-            hist[nsel] = hist.get(nsel, 0) + 1
+                    stall[c] = cycle + 1 + pen
+                if t_instrs >= limit:
+                    finished = True
+            hist[len(sel)] += 1
 
-            cycles_acc += 1
             cycle += 1
             if rotate:
-                rot += 1
-                if rot == n_perms:
-                    rot = 0
-            if finished is not None:
-                status = "limit"
+                rkey += rstep
+                if rkey == rwrap:
+                    rkey = 0
+            if finished:
                 break
 
         # ---------------------------------------------------- flush
-        if solo_issues:
-            instrs_acc += solo_issues
-            hist[1] = hist.get(1, 0) + solo_issues
-        stats.cycles += cycles_acc
+        # issued words and operations are the threads' counter deltas
+        issued_instrs = issued_ops = 0
+        for c in live:
+            t = contexts[c]
+            issued_instrs += instrs[c] - t.issued_instrs
+            issued_ops += ops[c] - t.issued_ops
+            t.pending = pend[c]
+            t.packet = None
+            t.stall_until = stall[c]
+            t.issued_instrs = instrs[c]
+            t.issued_ops = ops[c]
+            t.icache_misses += imiss[c]
+            t.dcache_misses += dmiss[c]
+            t.taken_branches += takens[c]
+            streams[c]._pos = poss[c]
+        if i_perf or i_shift is not None:
+            icache.hits += i_hits
+            icache.misses += i_misses
+        if d_perf or d_shift is not None:
+            dcache.hits += d_hits
+            dcache.misses += d_misses
+        stats.cycles += cycle - start
         stats.vertical_waste += waste_acc
-        stats.ops += ops_acc
-        stats.instrs += instrs_acc
+        stats.ops += issued_ops
+        stats.instrs += issued_instrs
         merged = stats.merged_hist
-        for k, v in hist.items():
-            merged[k] = merged.get(k, 0) + v
+        for width in range(1, n + 1):
+            if hist[width]:
+                merged[width] = merged.get(width, 0) + hist[width]
         core.cycle = cycle
-        core._rot = rot
-        return status
+        core._rot = rkey >> n
+        return "limit" if finished else "timeslice"
 
 
 #: engine registry, keyed by CLI/config name.

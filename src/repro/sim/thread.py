@@ -38,9 +38,11 @@ class ThreadState:
         self.sw_id = sw_id
         self.program = program
         self.stream = InstructionStream(program, sw_id, seed)
-        #: fetched but not yet issued instruction (Fetch), if any
+        #: fetched but not yet issued instruction, if any: a stream
+        #: record ``(mop, taken, addrs, branch)`` (see repro.trace.stream)
         self.pending = None
-        #: cached ExecPacket for the pending instruction
+        #: ExecPacket for the pending instruction, built on demand by the
+        #: reference engine; None whenever the fast engine fetched it
         self.packet = None
         #: absolute core cycle until which this thread cannot issue
         self.stall_until = 0
@@ -56,7 +58,7 @@ class ThreadState:
         self.pending = rec
         # the packet is owned by the thread object, not a port index:
         # port positions rotate every cycle, thread identity does not.
-        self.packet = ExecPacket.from_mop(rec.mop, self)
+        self.packet = ExecPacket.from_mop(rec[0], self)
 
     def ipc(self, cycles: int) -> float:
         return self.issued_ops / cycles if cycles else 0.0

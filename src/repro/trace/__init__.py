@@ -1,6 +1,6 @@
 """Dynamic trace generation from compiled programs."""
 
 from repro.trace.addrgen import AddressGenerator, make_generator
-from repro.trace.stream import Fetch, InstructionStream
+from repro.trace.stream import InstructionStream
 
-__all__ = ["AddressGenerator", "Fetch", "InstructionStream", "make_generator"]
+__all__ = ["AddressGenerator", "InstructionStream", "make_generator"]

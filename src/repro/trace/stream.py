@@ -3,8 +3,19 @@
 A stream walks a compiled :class:`~repro.compiler.program.VLIWProgram`'s
 control flow forever (kernels restart when they fall off the end, exactly
 like the paper's benchmarks running 100M instructions) and yields one
-:class:`Fetch` per VLIW instruction: the static MultiOp plus this
-execution's branch outcome and memory addresses.
+fetch record per VLIW instruction.  A record is a plain tuple
+``(mop, taken, addrs, branch)``:
+
+* ``mop`` — the static :class:`~repro.isa.instruction.MultiOp`;
+* ``taken`` — this execution's branch outcome (``False`` without a
+  branch);
+* ``addrs`` — this execution's memory addresses, one per memory
+  operation in ``mop.mem_ops`` order (``()`` for memory-free words);
+* ``branch`` — the contained branch's ``BranchInfo``, or ``None``.
+
+Records are immutable and may be shared: memory-free records are
+prebuilt once per program and reused by every execution.  Hot loops
+unpack them (``mop, taken, addrs, _ = rec``) or index them (``rec[0]``).
 
 Branch outcomes:
 
@@ -21,12 +32,13 @@ together by ``tests/test_trace.py``):
   record per resume — the reference engine's per-fetch path;
 * :meth:`InstructionStream.materialize` batch-generates records into a
   buffer the fast engine indexes directly, amortizing the walk overhead
-  and reusing immutable records for memory-free instructions.  The
+  and reusing the prebuilt records of memory-free instructions.  The
   batch walk is *generated per program* (:func:`_fill_source`): each
   basic block becomes straight-line code — prebuilt records appended
-  directly, address arithmetic and branch sampling inlined with the
-  pattern constants baked in — dispatched by a block-index ``if``
-  chain, so the fill loop pays no per-record plan lookups.  Bulk mode
+  directly, memory records built as tuple literals, address arithmetic
+  and branch sampling inlined with the pattern constants baked in —
+  dispatched by a block-index ``if`` chain, so the fill loop pays no
+  per-record plan lookups.  Bulk mode
   may overfill past the requested count to the end of a basic block;
   records are produced by the same walk in the same order, so this is
   invisible to consumers (the buffer drains before the walk advances).
@@ -42,25 +54,7 @@ from itertools import islice
 
 from repro.trace.addrgen import make_generator
 
-__all__ = ["Fetch", "InstructionStream"]
-
-
-class Fetch:
-    """One dynamically fetched VLIW instruction (treat as read-only:
-    memory-free records are shared across executions)."""
-
-    __slots__ = ("mop", "taken", "addrs", "branch")
-
-    def __init__(self, mop, taken: bool, addrs: tuple, branch):
-        self.mop = mop
-        self.taken = taken
-        self.addrs = addrs
-        #: BranchInfo of the contained branch, or None
-        self.branch = branch
-
-    def __repr__(self) -> str:
-        return (f"Fetch(mop={self.mop!r}, taken={self.taken}, "
-                f"addrs={self.addrs}, branch={self.branch})")
+__all__ = ["InstructionStream"]
 
 
 class InstructionStream:
@@ -81,7 +75,7 @@ class InstructionStream:
         #: specialized filler always stops at a block boundary).
         self._bi = 0
         #: materialized-but-not-yet-consumed records (see materialize()).
-        self._buf: list[Fetch] = []
+        self._buf: list[tuple] = []
         self._pos = 0
         #: program-specialized batch filler (resolved on first _fill).
         self._fill_fn = None
@@ -89,7 +83,7 @@ class InstructionStream:
     def __iter__(self):
         return self
 
-    def __next__(self) -> Fetch:
+    def __next__(self) -> tuple:
         pos = self._pos
         buf = self._buf
         if pos < len(buf):
@@ -114,7 +108,7 @@ class InstructionStream:
         """Number of materialized records not yet consumed."""
         return len(self._buf) - self._pos
 
-    def materialize(self, n: int) -> list[Fetch]:
+    def materialize(self, n: int) -> list[tuple]:
         """Pre-generate records so the next ``n`` fetches index a
         prebuilt list instead of walking the control flow per fetch.
 
@@ -123,8 +117,10 @@ class InstructionStream:
         the observed stream is identical whether or not (and however
         often) this is called.  May buffer slightly more than ``n`` (the
         specialized filler stops at basic-block boundaries).  Returns
-        the internal buffer, whose first :attr:`buffered` entries are
-        the upcoming fetches.
+        the internal buffer of ``(mop, taken, addrs, branch)`` record
+        tuples (see the module docstring), whose first :attr:`buffered`
+        entries are the upcoming fetches.  A consumer that indexes the
+        buffer directly advances ``_pos`` past the records it took.
         """
         buf = self._buf
         if self._pos:
@@ -179,7 +175,7 @@ class InstructionStream:
                             taken = self._take_loop(bi, beh.trip)
                         else:
                             taken = beh.prob >= 1.0 or rng_random() < beh.prob
-                    yield Fetch(mop, taken, addrs, br)
+                    yield (mop, taken, addrs, br)
                     if taken:
                         redirect = br.target
                         break
@@ -241,7 +237,6 @@ def _fill_source(program) -> tuple[str, list]:
     e("    grb = self.rng.getrandbits")
     e("    counters = self._counters")
     e("    gens = self.gens")
-    e("    F = Fetch")
     for gi, kind in enumerate(kinds):
         e(f"    g{gi} = gens[{gi}]")
         e(f"    b{gi} = g{gi}.base")
@@ -264,11 +259,11 @@ def _fill_source(program) -> tuple[str, list]:
                 always = (not is_loop) and beh.prob >= 1.0
             if not mop.mem_ops:
                 if br is None:
-                    k = bind(Fetch(mop, False, (), None), "r")
+                    k = bind((mop, False, (), None), "r")
                     e(f"{pad}append({k})")
                     continue
-                kn = bind(Fetch(mop, False, (), br), "n")
-                kt = bind(Fetch(mop, True, (), br), "t")
+                kn = bind((mop, False, (), br), "n")
+                kt = bind((mop, True, (), br), "t")
                 if always:
                     e(f"{pad}append({kt})")
                     e(f"{pad}produced += {cnt}")
@@ -312,11 +307,11 @@ def _fill_source(program) -> tuple[str, list]:
                                     range(len(mop.mem_ops))) + ",)"
             km = bind(mop, "m")
             if br is None:
-                e(f"{pad}append(F({km}, False, {addrs}, None))")
+                e(f"{pad}append(({km}, False, {addrs}, None))")
                 continue
             kb = bind(br, "b")
             if always:
-                e(f"{pad}append(F({km}, True, {addrs}, {kb}))")
+                e(f"{pad}append(({km}, True, {addrs}, {kb}))")
                 e(f"{pad}produced += {cnt}")
                 e(f"{pad}bi = {br.target}")
                 e(f"{pad}continue")
@@ -325,19 +320,19 @@ def _fill_source(program) -> tuple[str, list]:
                 e(f"{pad}_c = counters.get({bidx}, {beh.trip})")
                 e(f"{pad}if _c > 1:")
                 e(f"{pad}    counters[{bidx}] = _c - 1")
-                e(f"{pad}    append(F({km}, True, {addrs}, {kb}))")
+                e(f"{pad}    append(({km}, True, {addrs}, {kb}))")
                 e(f"{pad}    produced += {cnt}")
                 e(f"{pad}    bi = {br.target}")
                 e(f"{pad}    continue")
                 e(f"{pad}counters[{bidx}] = {beh.trip}")
-                e(f"{pad}append(F({km}, False, {addrs}, {kb}))")
+                e(f"{pad}append(({km}, False, {addrs}, {kb}))")
             else:
                 e(f"{pad}if rng_random() < {beh.prob!r}:")
-                e(f"{pad}    append(F({km}, True, {addrs}, {kb}))")
+                e(f"{pad}    append(({km}, True, {addrs}, {kb}))")
                 e(f"{pad}    produced += {cnt}")
                 e(f"{pad}    bi = {br.target}")
                 e(f"{pad}    continue")
-                e(f"{pad}append(F({km}, False, {addrs}, {kb}))")
+                e(f"{pad}append(({km}, False, {addrs}, {kb}))")
         e(f"{pad}produced += {cnt}")
         e(f"{pad}bi = {bidx + 1}")
         e(f"{pad}continue")
@@ -372,7 +367,7 @@ def _fill_fn_for(program):
     if ent is not None:
         return ent[1]
     src, consts = _fill_source(program)
-    namespace = {"Fetch": Fetch, "_CONSTS": tuple(consts)}
+    namespace = {"_CONSTS": tuple(consts)}
     exec(src, namespace)  # noqa: S102 - self-generated source
     fn = namespace["_fill_compiled"]
     if len(_FILL_FNS) >= 256:

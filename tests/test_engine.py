@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.arch import paper_machine
-from repro.kernels import by_name, compile_spec
+from repro.kernels import SUITE, by_name, compile_spec
 from repro.merge import PAPER_SCHEMES, get_scheme
 from repro.sim import (
     ENGINES,
@@ -32,6 +32,7 @@ from repro.sim import (
     run_workload,
 )
 from repro.sim.cache import Cache, CacheConfig, PerfectCache
+from repro.sim.os_sched import RunResult
 from repro.workloads import WORKLOAD_ORDER, workload_programs
 
 MACHINE = paper_machine()
@@ -193,6 +194,79 @@ class TestDifferential:
             return dataclasses.asdict(core.stats)
 
         assert build(ReferenceEngine()) == build(make_engine(engine))
+
+    def test_sixteen_port_cascade_fills_table_on_demand(self):
+        """A 16-port cascade (the widest the grammar accepts) with 16
+        programs: fast equals reference, and the dispatch table holds
+        only ready masks the simulation actually reached — never the
+        16 x 65,536 entries an eager table would."""
+        name = "15" + "C" * 15
+        programs = _eight_programs() * 2
+
+        def core_for(engine):
+            core = MTCore(MACHINE, get_scheme(name), Cache(CacheConfig()),
+                          Cache(CacheConfig()), engine=engine)
+            ts = [ThreadState(p, sw_id=i, seed=1 + 17 * i)
+                  for i, p in enumerate(programs)]
+            core.set_contexts(ts)
+            return core, ts
+
+        fast, fast_ts = core_for("fast")
+        table = fast.scheme.dispatch()
+        table.clear()  # shared per rotation schedule: start it empty
+        fast.run(4_000, instr_limit=400)
+
+        # step the reference one cycle at a time and record each cycle's
+        # (rotation, ready mask): a context is ready iff it was unstalled
+        # at the cycle's start and its fetch (if any) did not miss.
+        ref, ref_ts = core_for("reference")
+        seen = set()
+        while ref.cycle < fast.cycle:
+            cycle, rot = ref.cycle, ref._rot
+            before = [(t.stall_until, t.icache_misses) for t in ref_ts]
+            status = ref.run(1, instr_limit=400)
+            mask = 0
+            for c, (t, (stall, imiss)) in enumerate(zip(ref_ts, before)):
+                if stall <= cycle and t.icache_misses == imiss:
+                    mask |= 1 << c
+            if mask:
+                seen.add((rot << 16) | mask)
+            if status == "limit":
+                break
+        assert ref.cycle == fast.cycle
+        assert _fingerprint(RunResult(ref.stats, ref_ts, ref.icache,
+                                      ref.dcache)) == \
+            _fingerprint(RunResult(fast.stats, fast_ts, fast.icache,
+                                   fast.dcache))
+
+        assert 0 < len(table) <= len(seen)
+        assert set(table) <= seen
+
+
+class TestEngineHandoff:
+    """Engines share all core state, so they can take turns on one core
+    across timeslices and still match a pure reference run."""
+
+    @staticmethod
+    def _run(order):
+        programs = [compile_spec(spec, MACHINE) for spec in SUITE[:4]]
+        cfg = SimConfig()
+        core = MTCore(MACHINE, get_scheme("3CCC"), Cache(cfg.icache),
+                      Cache(cfg.dcache))
+        ts = [ThreadState(p, sw_id=i, seed=5)
+              for i, p in enumerate(programs)]
+        core.set_contexts(ts)
+        for engine in order:
+            core.engine = make_engine(engine)
+            core.run(300)
+        return _fingerprint(RunResult(core.stats, ts, core.icache,
+                                      core.dcache))
+
+    @pytest.mark.parametrize("first,second", [("fast", "reference"),
+                                              ("reference", "fast")])
+    def test_alternating_engines_equal_pure_reference(self, first, second):
+        assert self._run([first, second] * 3) == \
+            self._run(["reference"] * 6)
 
 
 class TestEngineProtocol:

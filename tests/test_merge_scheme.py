@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.arch import paper_machine
 from repro.merge import PAPER_SCHEMES, get_scheme
 from repro.merge.packet import MergeRules
-from repro.merge.scheme import Leaf, Node, ParCsmt, Scheme
+from repro.merge.scheme import DispatchTable, Leaf, Node, ParCsmt, Scheme
 from tests.conftest import packet
 
 MACHINE = paper_machine()
@@ -301,3 +301,65 @@ class TestCompiledPlanProperty:
         scheme = get_scheme("2SC3")
         assert scheme.compile(RULES) is scheme.compile(RULES)
         assert scheme.compile(MergeRules(MACHINE)) is scheme.compile(RULES)
+
+
+def _dispatch_schemes() -> list:
+    """Every rotation schedule: a cyclic one for 1..8 ports (a few
+    cascade shapes each, so pair entries cover both merge kinds) and
+    the wired balanced trees."""
+    from repro.eval.sweep import enumerate_names
+
+    names = ["ST"]
+    for n in range(2, 9):
+        enum = enumerate_names(n)
+        names += sorted({enum[0], enum[len(enum) // 2], enum[-2]})
+    return names + ["2CC", "2CS", "2SC", "2SS"]
+
+
+class TestDispatchTable:
+    """The ready-mask dispatch table against a brute-force port scan."""
+
+    @pytest.mark.parametrize("name", _dispatch_schemes())
+    def test_every_rotation_and_mask_matches_scan(self, name):
+        scheme = get_scheme(name)
+        plan = scheme.compile(RULES)
+        perms = scheme.port_permutations()
+        assert scheme.dispatch().perms is perms
+        n = scheme.n_ports
+        table = DispatchTable(perms)
+        for rot, perm in enumerate(perms):
+            for mask in range(1, 1 << n):
+                # brute force: scan the ports in order, keep the ones
+                # whose bound context is ready
+                ports = tuple(p for p in range(n) if mask & (1 << perm[p]))
+                entry = table[(rot << n) | mask]
+                assert entry == table.entry(rot, mask)
+                k, got_perm, ready = entry
+                assert k == len(ports) and got_perm is perm
+                if k >= 3:
+                    assert ready == tuple((2 * p, perm[p]) for p in ports)
+                    continue
+                assert ready == ports
+                if k == 2:
+                    # the engine reads the plan's pair entry for the two
+                    # ready ports and maps its ports through ``perm``
+                    _, pa, pb, _, both = plan.pair_table[ready]
+                    assert sorted(perm[p] for p in both) == \
+                        sorted(perm[p] for p in ports)
+                    assert {pa, pb} == set(ports)
+        assert len(table) == len(perms) * ((1 << n) - 1)
+
+    def test_schemes_share_one_table_per_rotation_schedule(self):
+        assert get_scheme("3CCC").dispatch() is get_scheme("3SSS").dispatch()
+        assert get_scheme("2SS").dispatch() is get_scheme("2CC").dispatch()
+        assert get_scheme("2SS").dispatch() is not \
+            get_scheme("3SSS").dispatch()
+
+    def test_table_fills_on_demand(self):
+        """A 16-port table starts empty: entries appear only on lookup."""
+        scheme = Scheme("cascade16", _left_deep_cascade(
+            [Leaf(p) for p in range(16)]))
+        table = scheme.dispatch()
+        table.clear()
+        entry = table[(3 << 16) | 0b1011]
+        assert entry[0] == 3 and len(table) == 1

@@ -42,14 +42,14 @@ class TestDeterminism:
         prog = _mini_loop(prob=0.3)
         a = _take(InstructionStream(prog, 0, seed=7), 200)
         b = _take(InstructionStream(prog, 0, seed=7), 200)
-        assert [(f.mop.address, f.taken, f.addrs) for f in a] == \
-            [(f.mop.address, f.taken, f.addrs) for f in b]
+        assert [(mop.address, taken, addrs) for mop, taken, addrs, _ in a] == \
+            [(mop.address, taken, addrs) for mop, taken, addrs, _ in b]
 
     def test_different_seed_different_branches(self):
         prog = _mini_loop(prob=0.5)
         a = _take(InstructionStream(prog, 0, seed=1), 300)
         b = _take(InstructionStream(prog, 0, seed=2), 300)
-        assert [f.taken for f in a] != [f.taken for f in b]
+        assert [f[1] for f in a] != [f[1] for f in b]
 
 
 class TestControlFlow:
@@ -58,26 +58,26 @@ class TestControlFlow:
         blk = prog.blocks[0]
         per_round = len(blk.mops) * 4
         fetches = _take(InstructionStream(prog, 0, seed=0), per_round * 3)
-        term = [f for f in fetches if f.branch and f.branch.is_terminator]
-        takens = [f.taken for f in term]
+        term = [f for f in fetches if f[3] and f[3].is_terminator]
+        takens = [taken for _, taken, _, _ in term]
         # pattern: taken,taken,taken,not - repeated
         assert takens[:8] == [True, True, True, False] * 2
 
     def test_restart_after_falloff(self):
         prog = _mini_loop(trip=2)
         stream = InstructionStream(prog, 0, seed=0)
-        first = next(stream).mop.address
-        seen = [next(stream).mop.address for _ in range(100)]
+        first = next(stream)[0].address
+        seen = [next(stream)[0].address for _ in range(100)]
         assert first in seen  # wrapped back to the entry
 
     def test_bernoulli_rate_matches_probability(self):
         prog = _mini_loop(prob=0.4)
         fetches = _take(InstructionStream(prog, 0, seed=3), 6000)
-        side = [f for f in fetches
-                if f.branch is not None and not f.branch.is_terminator
-                and f.branch.behavior.kind == "bernoulli"
-                and f.branch.behavior.prob < 1.0]
-        rate = sum(f.taken for f in side) / len(side)
+        side = [(taken, br) for _, taken, _, br in fetches
+                if br is not None and not br.is_terminator
+                and br.behavior.kind == "bernoulli"
+                and br.behavior.prob < 1.0]
+        rate = sum(taken for taken, _ in side) / len(side)
         assert 0.3 < rate < 0.5
 
     def test_side_exit_skips_block_tail(self):
@@ -86,9 +86,9 @@ class TestControlFlow:
         fetches = _take(stream, 50)
         # after a taken side exit, next fetch is the rare block's address
         rare_base = prog.blocks[1].mops[0].address
-        for i, f in enumerate(fetches[:-1]):
-            if f.taken and f.branch and not f.branch.is_terminator:
-                assert fetches[i + 1].mop.address == rare_base
+        for i, (_, taken, _, br) in enumerate(fetches[:-1]):
+            if taken and br and not br.is_terminator:
+                assert fetches[i + 1][0].address == rare_base
                 break
         else:
             raise AssertionError("no side exit observed")
@@ -129,22 +129,22 @@ class TestAddresses:
 
     def test_fetch_addr_count_matches_mem_ops(self):
         prog = _mini_loop()
-        for f in _take(InstructionStream(prog, 0, seed=0), 60):
-            assert len(f.addrs) == len(f.mop.mem_ops)
+        for mop, _, addrs, _ in _take(InstructionStream(prog, 0, seed=0), 60):
+            assert len(addrs) == len(mop.mem_ops)
 
 
 class TestFetchDistribution:
     def test_every_static_instr_fetched(self):
         prog = _mini_loop(trip=4)
         static = {m.address for b in prog.blocks for m in b.mops}
-        fetched = {f.mop.address for f in
+        fetched = {f[0].address for f in
                    _take(InstructionStream(prog, 0, seed=0), 400)}
         assert static <= fetched
 
     def test_fetch_counts_weighted_by_loop(self):
         prog = _mini_loop(trip=4)
         fetches = _take(InstructionStream(prog, 0, seed=0), 400)
-        counts = Counter(f.mop.address for f in fetches)
+        counts = Counter(f[0].address for f in fetches)
         most = counts.most_common()
         # loop-body instructions dominate the fetch stream
         assert most[0][1] > 10
@@ -155,8 +155,8 @@ class TestMaterialize:
     record sequence to the per-record generator walk."""
 
     def _fields(self, recs):
-        return [(f.mop.address, f.taken, f.addrs,
-                 None if f.branch is None else id(f.branch)) for f in recs]
+        return [(mop.address, taken, addrs, None if br is None else id(br))
+                for mop, taken, addrs, br in recs]
 
     def test_bulk_equals_lazy_walk(self):
         prog = _mini_loop(trip=4, prob=0.3)
@@ -217,5 +217,5 @@ class TestMaterialize:
         s = InstructionStream(prog, 0, seed=0)
         s.materialize(100)
         recs = [next(s) for _ in range(100)]
-        no_mem = [r for r in recs if not r.addrs and r.branch is None]
+        no_mem = [r for r in recs if not r[2] and r[3] is None]
         assert no_mem and len({id(r) for r in no_mem}) < len(no_mem)
