@@ -35,9 +35,7 @@ lives in :mod:`repro.sim.batch`):
   4. *materialized instruction streams*:
      :meth:`~repro.trace.stream.InstructionStream.materialize` pre-builds
      batches of ``(mop, taken, addrs, branch)`` record tuples so the hot
-     loop indexes a list instead of resuming a generator per fetch (a
-     stream's batches grow geometrically, so short cells generate
-     little they never fetch);
+     loop indexes a list instead of resuming a generator per fetch;
   5. *compiled scheme plans*: :meth:`~repro.merge.scheme.Scheme.compile`
      lowers the merge AST once into a generated straight-line selection
      function over the ready ports' packed summaries, with a
@@ -219,8 +217,11 @@ class FastEngine(Engine):
       context order, does the fetch and sets bit ``c`` of a ready mask
       for every context left unstalled.  That is exactly the reference's
       ready set: after its fetch phase an unstalled context always holds
-      a pending instruction (it either had one or just fetched one), and
-      a context stalled by the fetch's ICache miss is not ready.  The
+      a pending instruction (it either had one or just fetched one).  An
+      ICache miss sets ``stall_until = cycle + miss_penalty``, so the
+      context drops out of the mask only for a nonzero penalty; with a
+      zero penalty it stays ready in the same cycle, as in the
+      reference, whose merge tests ``stall_until <= cycle``.  The
       port binding is a pure function of the rotation step, so
       ``(rotation, mask)`` determines the ready ports in port order; the
       rotation schedule's :class:`~repro.merge.scheme.DispatchTable`
@@ -253,12 +254,7 @@ class FastEngine(Engine):
 
     name = "fast"
 
-    #: fetch records materialized per stream refill: a stream's first
-    #: refill asks for STREAM_FIRST records and each later one for twice
-    #: the previous batch, up to STREAM_BATCH.  Short cells (a guided
-    #: search's reduced-fidelity rungs fetch a few hundred records per
-    #: thread) then walk little past what they consume.
-    STREAM_FIRST = 64
+    #: fetch records materialized per stream refill.
     STREAM_BATCH = 512
 
     def run(self, core, max_cycles: int, instr_limit: int | None = None) -> str:
@@ -274,7 +270,6 @@ class FastEngine(Engine):
         n_perms = len(perms)
         rotate = core.rotate and n > 1
         plan = core.scheme.compile(core.rules)
-        first = self.STREAM_FIRST
         batch = self.STREAM_BATCH
         caps_high = core.rules.caps_high
         high = core.rules.high
@@ -347,13 +342,10 @@ class FastEngine(Engine):
             others[c] = live[:i] + live[i + 1:]
 
         def refill(c: int, pos: int) -> list:
-            # slot c consumed its whole buffer (pos == len): ask for twice
-            # that many records, clamped to [STREAM_FIRST, STREAM_BATCH]
+            # slot c consumed its whole buffer (pos == len)
             stream = streams[c]
             stream._pos = pos
-            size = pos + pos
-            buf = bufs[c] = stream.materialize(
-                first if size < first else batch if size > batch else size)
+            buf = bufs[c] = stream.materialize(batch)
             return buf
 
         # ready-mask dispatch: key = (rot << n) | mask
@@ -408,13 +400,15 @@ class FastEngine(Engine):
                                 i_misses += 1
                                 imiss[c] += 1
                                 stall[c] = cycle + i_penalty
-                                continue
+                                if i_penalty:
+                                    continue
                     elif i_perf:
                         i_hits += 1
                     elif not icache_access(rec[0].address):
                         imiss[c] += 1
                         stall[c] = cycle + i_penalty
-                        continue
+                        if i_penalty:
+                            continue
                 mask |= 1 << c
 
             if not mask:

@@ -62,6 +62,11 @@ def _fingerprint(result):
     )
 
 
+class _OddCache(Cache):
+    """A Cache subclass: the fast engine cannot inline its LRU
+    bookkeeping and calls ``access()`` instead."""
+
+
 @functools.lru_cache(maxsize=None)
 def _eight_programs() -> list:
     """Eight software threads: enough for every scheme up to 8 ports."""
@@ -177,16 +182,12 @@ class TestDifferential:
     def test_unspecialized_cache_type(self, engine):
         """A Cache subclass skips the inlined LRU paths and goes through
         plain ``access()`` calls — results stay bit-identical."""
-
-        class OddCache(Cache):
-            pass
-
         programs = workload_programs("LLLL", MACHINE)
         scheme = get_scheme("3CCC")
 
         def build(engine):
-            core = MTCore(MACHINE, scheme, OddCache(CacheConfig()),
-                          OddCache(CacheConfig()), engine=engine)
+            core = MTCore(MACHINE, scheme, _OddCache(CacheConfig()),
+                          _OddCache(CacheConfig()), engine=engine)
             ts = [ThreadState(p, sw_id=i, seed=1 + 17 * i)
                   for i, p in enumerate(programs)]
             core.set_contexts(ts)
@@ -195,16 +196,43 @@ class TestDifferential:
 
         assert build(ReferenceEngine()) == build(make_engine(engine))
 
-    def test_sixteen_port_cascade_fills_table_on_demand(self):
+    @pytest.mark.parametrize("cache_cls", [Cache, _OddCache])
+    @pytest.mark.parametrize("engine", ACCEL_ENGINES)
+    def test_zero_icache_miss_penalty(self, engine, cache_cls):
+        """With a zero ICache miss penalty a fetch that misses stalls its
+        thread only until the current cycle, so the thread still takes
+        part in that cycle's merge — on the inlined LRU path and through
+        plain ``access()`` calls alike."""
+        programs = workload_programs("LLMH", MACHINE)
+        icfg = CacheConfig(miss_penalty=0)
+
+        def build(engine, scheme):
+            core = MTCore(MACHINE, get_scheme(scheme), cache_cls(icfg),
+                          cache_cls(CacheConfig()), engine=engine)
+            ts = [ThreadState(p, sw_id=i, seed=1 + 17 * i)
+                  for i, p in enumerate(programs[:core.n_ports])]
+            core.set_contexts(ts)
+            core.run(3_000, instr_limit=600)
+            return _fingerprint(RunResult(core.stats, ts, core.icache,
+                                          core.dcache))
+
+        for scheme in ("3CCC", "3SSS", "2SC3", "1S"):
+            ref = build(ReferenceEngine(), scheme)
+            assert ref[2][1] > 0  # the ICache does miss
+            assert build(make_engine(engine), scheme) == ref, scheme
+
+    @pytest.mark.parametrize("i_penalty", [CacheConfig().miss_penalty, 0])
+    def test_sixteen_port_cascade_fills_table_on_demand(self, i_penalty):
         """A 16-port cascade (the widest the grammar accepts) with 16
         programs: fast equals reference, and the dispatch table holds
         only ready masks the simulation actually reached — never the
         16 x 65,536 entries an eager table would."""
         name = "15" + "C" * 15
         programs = _eight_programs() * 2
+        icfg = CacheConfig(miss_penalty=i_penalty)
 
         def core_for(engine):
-            core = MTCore(MACHINE, get_scheme(name), Cache(CacheConfig()),
+            core = MTCore(MACHINE, get_scheme(name), Cache(icfg),
                           Cache(CacheConfig()), engine=engine)
             ts = [ThreadState(p, sw_id=i, seed=1 + 17 * i)
                   for i, p in enumerate(programs)]
@@ -218,7 +246,8 @@ class TestDifferential:
 
         # step the reference one cycle at a time and record each cycle's
         # (rotation, ready mask): a context is ready iff it was unstalled
-        # at the cycle's start and its fetch (if any) did not miss.
+        # at the cycle's start and is still unstalled after its fetch —
+        # a fetch that misses stalls it until cycle + miss_penalty.
         ref, ref_ts = core_for("reference")
         seen = set()
         while ref.cycle < fast.cycle:
@@ -227,7 +256,9 @@ class TestDifferential:
             status = ref.run(1, instr_limit=400)
             mask = 0
             for c, (t, (stall, imiss)) in enumerate(zip(ref_ts, before)):
-                if stall <= cycle and t.icache_misses == imiss:
+                missed = t.icache_misses != imiss
+                if stall <= cycle and not (missed and
+                                           cycle + i_penalty > cycle):
                     mask |= 1 << c
             if mask:
                 seen.add((rot << 16) | mask)
