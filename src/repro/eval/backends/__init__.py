@@ -1,10 +1,13 @@
 """Pluggable result-store backends behind :class:`~repro.eval.store.RunStore`.
 
-Three implementations ship: :class:`DirectoryBackend` (the original
-run-directory format, byte-identical on disk), :class:`SQLiteBackend`
-(one database file per campaign) and :class:`QueueBackend` (a SQLite
-store plus a worker-pull queue of claimable cells for fleet campaigns).
-All satisfy the :class:`StoreBackend` protocol, are selected by URL —
+Two implementations ship: :class:`DirectoryBackend` (the original
+run-directory format, byte-identical on disk) and :class:`SQLiteBackend`
+(one database file per campaign, one ``cells`` row per cell carrying its
+value, queue status and metadata — store schema version 2; files of
+version 1 are upgraded in place by the first write, and refused by
+reads until then).  :class:`QueueBackend` is the SQLite backend under
+the ``queue:`` scheme, which the worker-pull queue verbs require.  All
+satisfy the :class:`StoreBackend` protocol, are selected by URL —
 ``dir:PATH`` / ``sqlite:PATH.db`` / ``queue:PATH.db``, with bare paths
 meaning ``dir:`` — and interoperate:
 :func:`~repro.eval.store.merge_runs` unions cells across backends, and a
@@ -16,8 +19,7 @@ from __future__ import annotations
 
 from repro.eval.backends.base import StoreBackend, parse_store_url
 from repro.eval.backends.directory import DirectoryBackend
-from repro.eval.backends.queue import QueueBackend
-from repro.eval.backends.sqlite import SQLiteBackend
+from repro.eval.backends.sqlite import QueueBackend, SQLiteBackend
 
 __all__ = [
     "DirectoryBackend",

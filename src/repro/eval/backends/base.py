@@ -13,7 +13,8 @@ Backends are selected by URL::
 
     dir:results/         directory backend (also the default for bare paths)
     sqlite:campaign.db   SQLite backend (one file per campaign)
-    queue:campaign.db    SQLite backend + a worker-pull cell queue
+    queue:campaign.db    the same SQLite file, addressed as a worker-pull
+                         cell queue (the scheme the queue verbs require)
 
 ``repro-eval --store URL`` and ``Session(store=URL)`` both route through
 :func:`repro.eval.backends.open_backend`.
@@ -99,7 +100,8 @@ class StoreBackend(Protocol):
     path: str
 
     def ensure(self) -> None:
-        """Create the underlying storage if it does not exist."""
+        """Create the underlying storage if it does not exist (the
+        SQLite backend also upgrades an older file's schema here)."""
         ...
 
     def load_manifest(self) -> dict | None:

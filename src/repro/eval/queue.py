@@ -22,12 +22,16 @@ Cell lifecycle (mirrored in DESIGN.md §8 and docs/OPERATIONS.md)::
       │                                              ▼ attempt >= max
       └──────────────────────────────────────── failed
 
-A drained queue is indistinguishable from a completed run store:
-re-running the campaign's experiment/sweep/matrix with ``--store
-queue:PATH.db`` reuses every cell and assembles the artifact with zero
-new simulations, and :func:`~repro.eval.store.merge_runs` reads (and
-writes — that is the migration path from ``dir:``/``sqlite:`` stores)
-queues like any other backend.
+A value recorded by any path — a worker's finish, ``merge_runs``, a run
+with ``--store queue:...`` — marks its cell done, failed ones included,
+because the value sits on the cell's queue row (one table; see
+:mod:`repro.eval.backends.sqlite`).  So a drained queue is
+indistinguishable from a completed run store: re-running the
+campaign's experiment/sweep/matrix with ``--store queue:PATH.db`` reuses
+every cell and assembles the artifact with zero new simulations, and
+:func:`~repro.eval.store.merge_runs` reads (and writes — that is the
+migration path from ``dir:``/``sqlite:`` stores) queues like any other
+backend.
 
 The campaign's identity travels in the store: :func:`init_queue` stamps
 the usual config/machine fingerprint *and* a :class:`CampaignSpec`
@@ -421,8 +425,7 @@ def run_worker(store, *, worker_id: str | None = None,
                 progress(f"  {claim['key']}  FAILED: {error}")
 
     def settle_value(claim: dict, value: float, meta) -> None:
-        backend.finish(claim["experiment"], claim["key"], value)
-        backend.save_cell_meta(claim["experiment"], claim["key"], meta)
+        backend.finish(claim["experiment"], claim["key"], value, meta)
         report.executed += 1
         if progress is not None:
             retry = (f"  [attempt {claim['attempt']}]"

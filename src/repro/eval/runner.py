@@ -313,7 +313,7 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
         result.executed += 1
         if store is not None:
             store.record_cell(experiment, key, value)
-            if meta is not None and hasattr(store, "record_cell_meta"):
+            if meta is not None:
                 store.record_cell_meta(experiment, key, meta)
 
     batched = config.engine == "batch" and len(pending) > 1

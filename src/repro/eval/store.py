@@ -207,23 +207,19 @@ class RunStore:
         """Experiments that have recorded cell values, sorted by name."""
         return self.backend.experiments_with_cells()
 
-    # -- cell metadata (diagnostic, best-effort) --------------------------
+    # -- cell metadata (diagnostic) ----------------------------------------
     def record_cell_meta(self, experiment: str, key: str,
                          meta: dict) -> None:
         """Record diagnostic metadata for one cell (engine stats etc.).
 
         Metadata rides alongside the cell value but is never part of it:
-        resume, merge and fingerprint checks ignore it entirely, and a
-        backend without metadata support silently drops it.
+        resume, merge and fingerprint checks ignore it entirely.
         """
-        save = getattr(self.backend, "save_cell_meta", None)
-        if save is not None:
-            save(experiment, key, meta)
+        self.backend.save_cell_meta(experiment, key, meta)
 
     def load_cell_meta(self, experiment: str) -> dict[str, dict]:
         """Recorded per-cell metadata of one experiment (may be empty)."""
-        load = getattr(self.backend, "load_cell_meta", None)
-        return load(experiment) if load is not None else {}
+        return self.backend.load_cell_meta(experiment)
 
     # -- artifacts -------------------------------------------------------
     def fingerprint(self) -> dict | None:

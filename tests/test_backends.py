@@ -11,6 +11,7 @@ semantics (claiming, heartbeats, reclaim) are tested in
 
 import json
 import os
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
@@ -309,3 +310,175 @@ class TestSqliteCampaigns:
         assert session.last_grid.executed == 0
         assert session.last_grid.reused == 18
         assert resumed.to_json() == first.to_json()
+
+
+# ----------------------------------------------------------------------
+# files written by the three-table layout (store schema version 1)
+# ----------------------------------------------------------------------
+#: the version-1 DDL, verbatim: ``sqlite:`` files held these tables ...
+_V1_SCHEMA = """
+CREATE TABLE IF NOT EXISTS kv (
+    key TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS cells (
+    experiment TEXT NOT NULL,
+    key TEXT NOT NULL,
+    value REAL NOT NULL,
+    PRIMARY KEY (experiment, key)
+);
+CREATE TABLE IF NOT EXISTS artifacts (
+    experiment TEXT PRIMARY KEY,
+    body TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS cell_meta (
+    experiment TEXT NOT NULL,
+    key TEXT NOT NULL,
+    body TEXT NOT NULL,
+    PRIMARY KEY (experiment, key)
+);
+"""
+
+#: ... and ``queue:`` files these, the queue table mirroring cell keys.
+_V1_QUEUE_SCHEMA = _V1_SCHEMA + """
+CREATE TABLE IF NOT EXISTS queue (
+    experiment TEXT NOT NULL,
+    key TEXT NOT NULL,
+    cell TEXT NOT NULL,
+    status TEXT NOT NULL DEFAULT 'open',
+    worker TEXT,
+    attempt INTEGER NOT NULL DEFAULT 0,
+    error TEXT,
+    heartbeat REAL,
+    claimed_at REAL,
+    PRIMARY KEY (experiment, key)
+);
+CREATE INDEX IF NOT EXISTS queue_by_status ON queue (status);
+"""
+
+_QUEUE_COLUMNS = ("experiment", "key", "status", "worker", "attempt",
+                  "error", "heartbeat", "claimed_at")
+
+
+def _write_v1_file(path: str, queue: bool) -> None:
+    """A version-1 store: done, open, claimed and failed cells, metadata
+    (one record ahead of its value), a value recorded outside the queue,
+    a manifest and an artifact."""
+    conn = sqlite3.connect(path)
+    conn.executescript(_V1_QUEUE_SCHEMA if queue else _V1_SCHEMA)
+    conn.execute("INSERT INTO kv VALUES ('manifest', ?)",
+                 (json.dumps({"fingerprint": {"f": 1}, "experiments": {}}),))
+    conn.execute("INSERT INTO artifacts VALUES ('x', '{\"experiment\": \"x\"}')")
+    conn.executemany("INSERT INTO cells VALUES (?, ?, ?)", [
+        ("x", "a", 1.5), ("x", "b", 0.1 + 0.2), ("y", "direct", 3.0)])
+    conn.executemany("INSERT INTO cell_meta VALUES (?, ?, ?)", [
+        ("x", "a", '{"engine": "fast"}'), ("x", "c", '{"engine": "ref"}')])
+    if queue:
+        cell = json.dumps({"experiment": "x", "kind": "workload"})
+        conn.executemany(
+            "INSERT INTO queue VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)", [
+                ("x", "a", cell, "done", "w1", 1, None, 50.0, 40.0),
+                ("x", "b", cell, "done", "w1", 2, None, 60.0, 55.0),
+                ("x", "c", cell, "open", None, 0, None, None, None),
+                ("x", "d", cell, "claimed", "w2", 1, None, 100.0, 90.0),
+                ("x", "e", cell, "failed", "w2", 3, "RuntimeError: x",
+                 80.0, 70.0)])
+    conn.commit()
+    conn.close()
+
+
+def _v1_answers(path: str, queue: bool) -> dict:
+    """What the version-1 backend's reads returned (its queries)."""
+    conn = sqlite3.connect(path)
+    experiments = [r[0] for r in conn.execute(
+        "SELECT DISTINCT experiment FROM cells ORDER BY experiment")]
+    answers = {
+        "experiments": experiments,
+        "cells": {e: dict(conn.execute(
+            "SELECT key, value FROM cells WHERE experiment = ?", (e,)))
+            for e in ("x", "y", "z")},
+        "meta": {e: {k: json.loads(body) for k, body in conn.execute(
+            "SELECT key, body FROM cell_meta WHERE experiment = ?", (e,))}
+            for e in ("x", "y", "z")},
+    }
+    if queue:
+        counts = dict.fromkeys(("open", "claimed", "done", "failed"), 0)
+        counts.update(conn.execute(
+            "SELECT status, COUNT(*) FROM queue GROUP BY status"))
+        answers["counts"] = counts
+        answers["rows"] = [dict(zip(_QUEUE_COLUMNS, r)) for r in conn.execute(
+            "SELECT experiment, key, status, worker, attempt, error, "
+            "heartbeat, claimed_at FROM queue ORDER BY experiment, key")]
+    conn.close()
+    return answers
+
+
+def _answers(backend, queue: bool) -> dict:
+    answers = {
+        "experiments": backend.experiments_with_cells(),
+        "cells": {e: backend.load_cells(e) for e in ("x", "y", "z")},
+        "meta": {e: backend.load_cell_meta(e) for e in ("x", "y", "z")},
+    }
+    if queue:
+        answers["counts"] = backend.queue_counts()
+        answers["rows"] = backend.queue_rows()
+    return answers
+
+
+def _tables(path: str) -> set[str]:
+    conn = sqlite3.connect(path)
+    names = {r[0] for r in conn.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table'")}
+    conn.close()
+    return names
+
+
+@pytest.mark.parametrize("kind", ["sqlite", "queue"])
+class TestVersion1Files:
+    def test_new_file_holds_one_cell_table(self, kind, tmp_path):
+        backend = _backend(kind, tmp_path, "new")
+        backend.ensure()
+        backend.close()
+        assert _tables(backend.path) == {"kv", "cells", "artifacts"}
+
+    def test_reads_refuse_until_ensure_upgrades(self, kind, tmp_path):
+        queue = kind == "queue"
+        backend = _backend(kind, tmp_path, "old")
+        _write_v1_file(backend.path, queue)
+        expected = _v1_answers(backend.path, queue)
+        for read in (backend.load_manifest, backend.experiments_with_cells,
+                     lambda: backend.load_cells("x"),
+                     lambda: backend.load_cell_meta("x"),
+                     backend.queue_counts, backend.queue_rows):
+            with pytest.raises(ValueError, match="schema version 1"):
+                read()
+        backend.ensure()
+        assert _tables(backend.path) == {"kv", "cells", "artifacts"}
+        fresh = open_backend(backend.url)
+        assert _answers(fresh, queue) == expected
+        assert fresh.load_manifest() == {"fingerprint": {"f": 1},
+                                         "experiments": {}}
+        assert fresh.load_artifact("x") == '{"experiment": "x"}'
+
+    def test_upgraded_queue_keeps_claim_state(self, kind, tmp_path):
+        backend = _backend(kind, tmp_path, "old")
+        _write_v1_file(backend.path, kind == "queue")
+        backend.ensure()
+        claim = backend.claim("w3", ttl=10, now=105.0)
+        if kind == "sqlite":
+            assert claim is None  # values only: nothing to claim
+            return
+        assert (claim["key"], claim["attempt"]) == ("c", 1)
+        # the claim of w2 (heartbeat 100) goes stale after the ttl
+        stale = backend.claim("w3", ttl=10, now=111.0)
+        assert (stale["key"], stale["attempt"]) == ("d", 2)
+        assert backend.claim("w3", ttl=10, now=111.0) is None
+
+    def test_newer_version_is_refused(self, kind, tmp_path):
+        backend = _backend(kind, tmp_path, "new")
+        backend.ensure()
+        backend._conn.execute("UPDATE kv SET value = '3' "
+                              "WHERE key = 'schema'")
+        backend.close()
+        with pytest.raises(ValueError, match="schema version 3"):
+            open_backend(backend.url).ensure()

@@ -15,6 +15,9 @@ Backend *store* parity (round-trips, mixed-backend merge) is covered by
 """
 
 import dataclasses
+import os
+import sqlite3
+import sys
 import threading
 import time
 
@@ -31,6 +34,7 @@ from repro.eval import (
     run_worker,
 )
 from repro.eval.backends import QueueBackend
+from repro.eval.backends.sqlite import _FileLock
 from repro.eval.evaluator import DEFAULT_RUNGS, rung_configs
 from repro.eval.experiments import default_config, experiment_cells
 from repro.eval.search import run_search
@@ -91,6 +95,43 @@ class TestClaiming:
         assert len(claimed) == len(set(claimed))  # no double-claim
         assert QueueBackend(path).queue_counts()["done"] == 20
 
+    def test_claim_and_finish_stress(self, tmp_path):
+        """More workers than cores and a short switch interval: the
+        one-statement claim still hands out each cell exactly once, and
+        every finish lands on its own row."""
+        path = str(tmp_path / "q.db")
+        cells = _dummy_cells(40)
+        QueueBackend(path).enqueue("x", cells)
+        claimed: list[str] = []
+        lock = threading.Lock()
+
+        def drain(worker):
+            backend = QueueBackend(path)
+            while (claim := backend.claim(worker, ttl=60)) is not None:
+                with lock:
+                    claimed.append(claim["key"])
+                backend.finish("x", claim["key"], float(len(claim["key"])),
+                               {"worker": worker})
+            backend.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=drain, args=(f"w{i}",))
+                       for i in range((os.cpu_count() or 1) + 2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(claimed) == sorted(cells)
+        backend = QueueBackend(path)
+        assert backend.load_cells("x") == {k: float(len(k)) for k in cells}
+        assert len(backend.load_cell_meta("x")) == len(cells)
+        assert backend.queue_counts()["done"] == len(cells)
+
     def test_stale_claim_is_reclaimed_with_attempt_increment(self, tmp_path):
         backend = QueueBackend(str(tmp_path / "q.db"))
         backend.enqueue("x", _dummy_cells(1))
@@ -115,6 +156,18 @@ class TestClaiming:
         # reset returns it to open with a fresh attempt budget
         assert backend.reset() == 1
         assert backend.claim("w", ttl=10, now=300.0)["attempt"] == 1
+
+    def test_late_failure_does_not_undo_a_recorded_value(self, tmp_path):
+        """A stale claimant that errors after a rescuer finished the
+        cell must not park the recorded cell as failed."""
+        backend = QueueBackend(str(tmp_path / "q.db"))
+        backend.enqueue("x", _dummy_cells(1))
+        late = backend.claim("slow", ttl=10, now=100.0)
+        rescued = backend.claim("rescuer", ttl=10, now=111.0)
+        backend.finish(rescued["experiment"], rescued["key"], 1.0)
+        backend.fail(late["experiment"], late["key"], "RuntimeError: late")
+        assert backend.queue_counts() == {"open": 0, "claimed": 0,
+                                          "done": 1, "failed": 0}
 
     def test_heartbeat_keeps_a_slow_worker_alive(self, tmp_path):
         backend = QueueBackend(str(tmp_path / "q.db"))
@@ -501,6 +554,72 @@ class TestDrainIdentity:
         assert counts["done"] == 2 and counts["open"] == 2
         # draining simulates only the remainder
         assert run_worker(url).executed == 2
+
+    def test_recorded_value_settles_a_failed_cell(self, tmp_path):
+        """A value merged in for a failed cell makes it done: the queue
+        drains and no worker simulates that cell again."""
+        url = _url(tmp_path)
+        init_queue(url, SPEC)
+        backend = QueueBackend(str(tmp_path / "camp.db"))
+        claim = backend.claim("w1", ttl=60)
+        backend.fail(claim["experiment"], claim["key"], "RuntimeError: x")
+        backend.close()
+        old = f"dir:{tmp_path / 'old'}"
+        Session(config=default_config(0.05), store=old).sweep(2, ["LLLL"])
+        merge_runs(url, [old])
+        status = queue_status(url)
+        assert status.counts == {"open": 0, "claimed": 0, "done": 2,
+                                 "failed": 0}
+        assert status.drained
+        assert reset_failed(url) == 0
+        assert run_worker(url).executed == 0
+
+
+# ----------------------------------------------------------------------
+# SQL statement budget of a drain
+# ----------------------------------------------------------------------
+class TestStatementBudget:
+    def test_drain_costs_at_most_six_statements_per_cell(
+            self, tmp_path, monkeypatch):
+        """Per executed cell: a 4-statement claim (BEGIN IMMEDIATE,
+        stale-fail UPDATE, claiming UPDATE ... RETURNING, COMMIT), a
+        1-statement finish and 1 heartbeat; at most 10 more for opening
+        the store, the final empty claim and the idle check.  The
+        lockfile is still taken once per claim and once per finish."""
+        spec = CampaignSpec(experiment="sweep2", scale=0.05)  # 18 cells
+        url = _url(tmp_path)
+        init_queue(url, spec)
+        statements: list[str] = []
+        connect = sqlite3.connect
+
+        def traced_connect(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        locks: list[str] = []
+        enter = _FileLock.__enter__
+
+        def counted_enter(self):
+            locks.append(self.path)
+            return enter(self)
+
+        monkeypatch.setattr(sqlite3, "connect", traced_connect)
+        monkeypatch.setattr(_FileLock, "__enter__", counted_enter)
+        monkeypatch.setattr(
+            "repro.eval.queue.run_cell_detailed",
+            lambda cell, config, machine: (1.0, {"engine": "fast"}))
+        report = run_worker(url, worker_id="w1")
+        cells = len(spec.cells())
+        assert report.executed == cells == 18
+        assert len(statements) <= 6 * cells + 10, statements
+        claims = cells + 1  # the last claim finds the queue empty
+        assert len(locks) == claims + cells
+        monkeypatch.undo()
+        backend = QueueBackend(str(tmp_path / "camp.db"))
+        meta = backend.load_cell_meta(spec.experiment)
+        assert meta == {c.key: {"engine": "fast"} for c in spec.cells()}
+        backend.close()
 
 
 # ----------------------------------------------------------------------
