@@ -28,26 +28,21 @@ updates that engine's entry and leaves the others as history::
 Pre-trajectory flat reports (a top-level ``cells`` list) are migrated
 to a single ``fast`` generation on first rewrite.
 
-Two front ends:
+A standalone CLI (no test dependencies), used by CI's perf-smoke job
+and to regenerate ``BENCH_engine.json`` at the repo root::
 
-* standalone CLI (no test dependencies) — used by CI's perf-smoke job
-  and to regenerate ``BENCH_engine.json`` at the repo root::
+    python benchmarks/bench_engine.py --out BENCH_engine.json
+    python benchmarks/bench_engine.py --engines fast --classes multithreaded
+    python benchmarks/bench_engine.py --engines batch --classes campaign \\
+        --scale 0.1 --check --floor batch:campaign:2.0
+    python benchmarks/bench_engine.py --scale 0.1 --check \\
+        --baseline BENCH_engine.json --tolerance 0.25
 
-      python benchmarks/bench_engine.py --out BENCH_engine.json
-      python benchmarks/bench_engine.py --engines fast --classes multithreaded
-      python benchmarks/bench_engine.py --engines batch --classes campaign \\
-          --scale 0.1 --check --floor batch:campaign:2.0
-      python benchmarks/bench_engine.py --scale 0.1 --check \\
-          --baseline BENCH_engine.json --tolerance 0.25
-
-  ``--check`` exits non-zero when any measured engine's overall geomean
-  drops below ``--threshold``; ``--baseline`` additionally compares the
-  fresh per-class geomeans against a committed trajectory with a
-  relative ``--tolerance`` band, and ``--floor`` pins absolute
-  per-class minima (``engine:class:value``).
-
-* pytest-benchmark timed bodies (``pytest benchmarks/bench_engine.py``)
-  for trend tracking alongside the other artifact benchmarks.
+``--check`` exits non-zero when any measured engine's overall geomean
+drops below ``--threshold``; ``--baseline`` additionally compares the
+fresh per-class geomeans against a committed trajectory with a
+relative ``--tolerance`` band, and ``--floor`` pins absolute
+per-class minima (``engine:class:value``).
 
 The default grid covers the engines' operating envelope: the
 single-thread baseline (where burst execution and idle-cycle skipping
@@ -542,28 +537,6 @@ def main(argv=None) -> int:
         if failures:
             return 1
     return 0
-
-
-# ----------------------------------------------------------------------
-# pytest-benchmark timed bodies (collected only under pytest)
-# ----------------------------------------------------------------------
-def _bench_body(engine):
-    from benchmarks.conftest import BENCH_CONFIG
-
-    machine = paper_machine()
-    programs = workload_programs("LLMH", machine)
-    cfg = dataclasses.replace(BENCH_CONFIG, engine=engine)
-    return lambda: run_workload(programs, "2SC3", cfg).ipc
-
-
-def test_bench_reference_engine(benchmark):
-    ipc = benchmark(_bench_body("reference"))
-    assert ipc > 0
-
-
-def test_bench_fast_engine(benchmark):
-    ipc = benchmark(_bench_body("fast"))
-    assert ipc > 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Compiler configuration knobs.
 
-These exist both for normal use and for the ablation benchmarks in
-``benchmarks/`` (e.g. BUG vs round-robin cluster assignment, unrolling
-factor sweeps, speculation on/off).
+These exist both for normal use and for the ablations in
+``tests/test_paper_claims.py`` (e.g. BUG vs round-robin cluster
+assignment, unrolling factor sweeps, speculation on/off).
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ producing the independent :class:`~repro.eval.runner.Cell` simulations
 it needs, plus a *pure assembly* function turning measured cell values
 into the artifact's rows/series (same workloads, same scheme sets, same
 derived percentages as the paper).  DESIGN.md section 7 is the index;
-the ``benchmarks/`` directory wraps each artifact for
-``pytest-benchmark``.
+``tests/test_paper_claims.py`` checks the paper's claims on each
+artifact.
 
 Execution lives elsewhere: :class:`repro.eval.api.Session` is the one
 entry point that binds machine(s), :class:`~repro.sim.SimConfig`, a

@@ -282,8 +282,14 @@ def init_queue(store, spec: CampaignSpec) -> "QueueStatus":
     and re-initializing with a *different* spec is rejected — one queue
     is one campaign.  Cells whose values are already recorded (e.g.
     after ``repro-eval merge queue:... old-run/`` migrated a previous
-    run in) start out done, so only the remaining work is open.
+    run in) start out done, so only the remaining work is open.  The
+    grid is built before the first write, so a spec whose grid cannot
+    be built leaves the store as it was.
     """
+    by_experiment: dict[str, dict[str, dict]] = {}
+    for cell in spec.cells():
+        by_experiment.setdefault(cell.experiment, {})[cell.key] = \
+            dataclasses.asdict(cell)
     backend = _as_queue(store)
     RunStore.open_or_create(backend, spec.fingerprint())
     existing = backend.load_campaign()
@@ -293,10 +299,6 @@ def init_queue(store, spec: CampaignSpec) -> "QueueStatus":
             f"({existing.get('experiment')!r}); one queue is one "
             f"campaign — use a fresh queue:PATH.db")
     backend.save_campaign(spec.to_dict())
-    by_experiment: dict[str, dict[str, dict]] = {}
-    for cell in spec.cells():
-        by_experiment.setdefault(cell.experiment, {})[cell.key] = \
-            dataclasses.asdict(cell)
     enqueued = sum(backend.enqueue(experiment, keyed)
                    for experiment, keyed in sorted(by_experiment.items()))
     return QueueStatus.read(backend, enqueued=enqueued)

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import re
 
 from repro.eval.evaluator import DEFAULT_RUNGS, Evaluator
 from repro.eval.pareto import (
@@ -61,7 +60,8 @@ from repro.eval.pareto import (
 )
 from repro.eval.scaling import rank_stability_from_ipc
 from repro.eval.sweep import SweepPlan, assemble_sweep
-from repro.merge import parse_scheme, semantic_key
+from repro.merge import parse_scheme, scheme_name, scheme_tokens, semantic_key
+from repro.merge.parser import TREE_NAMES
 
 __all__ = [
     "SearchReport",
@@ -78,68 +78,6 @@ def search_experiment_id(n_threads: int) -> str:
 
 
 # -- the grammar mutator --------------------------------------------------
-
-_NAME_RE = re.compile(r"(\d+)((?:C\d+|C|S)*)$")
-_TOK_RE = re.compile(r"C\d+|C|S")
-
-
-def _token_str(kind: str, width: int) -> str:
-    return "S" if kind == "S" else ("C" if width == 2 else f"C{width}")
-
-
-def _classify(name: str, n_threads: int):
-    """``(form, tokens)`` of a scheme name within the N-thread grammar.
-
-    Forms: ``"cascade"`` (tokens = [(kind, width), ...]), ``"tree"``
-    (the N=4 two-level pairings, tokens = the two leaf kinds),
-    ``"par"`` (the parallel CN block), ``"other"`` (ST and anything
-    unrecognized).
-    """
-    base, _, qual = name.partition("@")
-    m = re.fullmatch(r"C(\d+)", base)
-    if m:
-        return "par", int(m.group(1))
-    m = _NAME_RE.fullmatch(base)
-    if not m:
-        return "other", None
-    toks = _TOK_RE.findall(m.group(2))
-    if len(toks) != int(m.group(1)):
-        return "other", None
-    parsed = [("S", 2) if t == "S"
-              else ("C", 2 if t == "C" else int(t[1:])) for t in toks]
-    if (not qual and n_threads == 4 and len(toks) == 2
-            and all(t in ("S", "C") for t in toks)):
-        return "tree", [k for k, _ in parsed]
-    return "cascade", parsed
-
-
-def _emit(tokens, n_threads: int) -> str | None:
-    """Name of a cascade token sequence, ``@N``-qualified as needed.
-
-    Single-token sequences fold to their special forms (``Ck``, ``1C``,
-    ``1S``) exactly as :func:`~repro.eval.sweep.enumerate_names` emits
-    them.  Returns None when the name does not parse back to
-    ``n_threads`` ports (e.g. an n=4 two-token width-2 sequence, which
-    the parser would read as a tree of a different coverage).
-    """
-    if len(tokens) == 1 and tokens[0][0] == "C" and tokens[0][1] > 2:
-        name = f"C{tokens[0][1]}"
-    else:
-        name = (str(len(tokens))
-                + "".join(_token_str(k, w) for k, w in tokens))
-    try:
-        if parse_scheme(name).n_ports != n_threads:
-            name = f"{name}@{n_threads}"
-        if parse_scheme(name).n_ports != n_threads:
-            return None
-    except Exception:  # noqa: BLE001 - unparseable edit, drop it
-        return None
-    return name
-
-
-def _coverage(tokens) -> int:
-    return sum(w for _, w in tokens) - (len(tokens) - 1)
-
 
 def _cascade_edits(tokens):
     """All coverage-preserving single edits of a cascade token list.
@@ -189,34 +127,27 @@ def mutate_names(name: str, n_threads: int | None = None) -> tuple:
     """All single-edit grammar neighbors of ``name`` at ``n_threads``.
 
     Cascades mutate by the coverage-preserving token edits of
-    :func:`_cascade_edits`.  The special forms hop to their nearest
-    serializations: a tree flips its leaf blocks and unrolls to the
-    three-token width-2 cascades; the parallel ``CN`` block splits into
-    the two-token C cascades.  Results are well-formed N-port names
-    (``@N``-qualified exactly like
+    :func:`_cascade_edits`; the parallel ``CN`` block reads as the
+    one-token cascade ``[C(N)]``, so it splits into the two-token C
+    cascades.  A tree flips its leaf blocks and unrolls to the
+    three-token width-2 cascades, and at N=4 ``C4`` also hops to the
+    trees.  Results are well-formed N-port names (named by
+    :func:`~repro.merge.scheme_name`, exactly like
     :func:`~repro.eval.sweep.enumerate_names`), deduplicated, with the
     seed itself and its semantic equivalents removed — every returned
     name is a genuine move in the deduplicated design space.
     """
     if n_threads is None:
         n_threads = parse_scheme(name).n_ports
-    form, tokens = _classify(name, n_threads)
-    names: set[str] = set()
-    edits = []
-    if form == "cascade":
-        assert _coverage(tokens) == n_threads, (name, tokens)
+    tokens = scheme_tokens(name, n_threads)
+    if tokens is not None:
         edits = _cascade_edits(tokens)
-    elif form == "tree":
-        names |= {f"2{fx}{fy}" for fx in "SC" for fy in "SC"}
-        edits = _width2_cascades(3)
-    elif form == "par":
-        n = tokens
-        edits = [[("C", a), ("C", n + 1 - a)] for a in range(2, n)]
-        if n_threads == 4:
-            names |= {f"2{fx}{fy}" for fx in "SC" for fy in "SC"}
+        names = set(TREE_NAMES) if tokens == [("C", 4)] else set()
+    elif n_threads == 4 and name in TREE_NAMES:
+        names, edits = set(TREE_NAMES), _width2_cascades(3)
     else:
         return ()
-    names |= {n for n in (_emit(seq, n_threads) for seq in edits) if n}
+    names |= {n for n in (scheme_name(seq, n_threads) for seq in edits) if n}
     seed_key = semantic_key(name)
     out = {n for n in names
            if n != name and semantic_key(n) != seed_key}

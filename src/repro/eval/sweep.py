@@ -43,6 +43,7 @@ machinery (and the guided search) is for.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,7 +53,14 @@ from repro.eval.experiments import default_config
 from repro.eval.pareto import design_points, pareto_frontier, recommend
 from repro.eval.result import ExperimentResult
 from repro.eval.runner import Cell, GridResult, run_cells, shard_cells
-from repro.merge import canonical_root, get_scheme, parse_scheme, semantic_key
+from repro.merge import (
+    canonical_root,
+    get_scheme,
+    parse_scheme,
+    scheme_name,
+    semantic_key,
+)
+from repro.merge.parser import TREE_NAMES
 from repro.workloads import TABLE2, WORKLOAD_ORDER
 
 __all__ = [
@@ -84,29 +92,20 @@ class CandidateGroup:
     members: tuple
 
 
-def _token_str(kind: str, width: int) -> str:
-    return "S" if kind == "S" else ("C" if width == 2 else f"C{width}")
-
-
 def _cascade_names(n_threads: int):
     """Names of every cascade token sequence covering ``n_threads``.
 
     A sequence starts with S (2 ports) or Ck (k ports) and extends with
-    S (+1 port) or Ck (+k-1 ports).  Single-token C cascades of width
-    > 2 are skipped: ``1Ck`` builds the identical ParCsmt AST as the
-    ``Ck`` special form, which :func:`enumerate_names` emits instead
-    (``1C`` stays - a *serial* 2-input block, distinct hardware from the
-    parallel ``C2``).
+    S (+1 port) or Ck (+k-1 ports).  :func:`~repro.merge.scheme_name`
+    names the single-token ``Ck`` cascade by its special form (``1Ck``
+    builds the identical ParCsmt AST); ``1C`` stays - a *serial* 2-input
+    block, distinct hardware from the parallel ``C2``.
     """
     out = []
 
     def extend(tokens, covered):
         if covered == n_threads:
-            if len(tokens) == 1 and tokens[0] == ("C", n_threads) \
-                    and n_threads > 2:
-                return
-            out.append(f"{len(tokens)}"
-                       + "".join(_token_str(k, w) for k, w in tokens))
+            out.append(scheme_name(tokens, n_threads))
             return
         extend(tokens + [("S", 2)], covered + 1)
         for w in range(2, n_threads - covered + 2):  # Ck adds k-1 ports
@@ -133,17 +132,12 @@ def enumerate_names(n_threads: int) -> tuple:
         raise ValueError(f"need >= 1 thread, got {n_threads}")
     if n_threads == 1:
         return ("ST",)
-    names = _cascade_names(n_threads)
+    names = {*_cascade_names(n_threads), f"C{n_threads}"}
     if n_threads == 4:
-        names += [f"2{k1}{k2}" for k1 in "SC" for k2 in "SC"]
-    names.append(f"C{n_threads}")
-    qualified = []
+        names.update(TREE_NAMES)
     for name in names:
-        if parse_scheme(name).n_ports != n_threads:
-            name = f"{name}@{n_threads}"
         assert parse_scheme(name).n_ports == n_threads, name
-        qualified.append(name)
-    return tuple(sorted(qualified))
+    return tuple(sorted(names))
 
 
 @lru_cache(maxsize=None)
@@ -172,17 +166,14 @@ def sweep_experiment_id(n_threads: int) -> str:
 def sweep_threads(experiment: str) -> int | None:
     """Thread count named by a sweep experiment id, None otherwise.
 
-    Accepts the :func:`sweep_experiment_id` form (``"sweep4"``) plus the
-    bare ``"sweep"`` shorthand (the default 4 threads), so campaign
+    Accepts the :func:`sweep_experiment_id` form (``"sweep4"``, N >= 1
+    without leading zeros, so the id names its cells' namespace) plus
+    the bare ``"sweep"`` shorthand (the default 4 threads), so campaign
     verbs like :meth:`~repro.eval.api.Session.run_matrix` can dispatch
     sweeps and paper artifacts through one ``experiment`` argument.
     """
-    if not experiment.startswith("sweep"):
-        return None
-    suffix = experiment[len("sweep"):]
-    if not suffix:
-        return 4
-    return int(suffix) if suffix.isdigit() else None
+    m = re.fullmatch(r"sweep([1-9][0-9]*)?", experiment)
+    return int(m.group(1) or 4) if m else None
 
 
 def _resolve_workloads(workloads) -> list:

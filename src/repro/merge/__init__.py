@@ -1,7 +1,7 @@
 """Thread-merging schemes: the paper's core contribution."""
 
 from repro.merge.packet import ExecPacket, MergeRules
-from repro.merge.parser import parse_scheme
+from repro.merge.parser import parse_scheme, scheme_name, scheme_tokens
 from repro.merge.registry import (
     BASELINES,
     FIG10_GROUPS,
@@ -33,5 +33,7 @@ __all__ = [
     "get_scheme",
     "parse_scheme",
     "scheme_family",
+    "scheme_name",
+    "scheme_tokens",
     "semantic_key",
 ]

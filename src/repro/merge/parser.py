@@ -25,9 +25,15 @@ Grammar (paper, Section 4.1):
   4-thread convention some names are ambiguous (``2SC`` is the 4-thread
   tree by default but also a valid 3-thread cascade); the qualifier pins
   the port count, so ``2SC@3`` always parses as the cascade
-  C(S(P0,P1),P2).  The design-space enumerator
-  (:mod:`repro.eval.sweep`) emits qualified names whenever the bare name
-  would resolve to a different port count.
+  C(S(P0,P1),P2).
+
+The module owns the grammar in both directions: :func:`parse_scheme`
+reads a name into a merge tree, :func:`scheme_tokens` reads it into its
+cascade tokens, and :func:`scheme_name` writes tokens back as a name,
+``@N``-qualified whenever the bare name would resolve to a different
+port count.  The design-space enumerator (:mod:`repro.eval.sweep`) and
+the search's mutator (:mod:`repro.eval.search`) name schemes only
+through :func:`scheme_name` and :data:`TREE_NAMES`.
 """
 
 from __future__ import annotations
@@ -36,9 +42,14 @@ import re
 
 from repro.merge.scheme import Leaf, Node, ParCsmt, Scheme
 
-__all__ = ["parse_scheme"]
+__all__ = ["TREE_NAMES", "parse_scheme", "scheme_name", "scheme_tokens"]
+
+#: the Figure 8 balanced trees, which read as trees only at four threads.
+TREE_NAMES = tuple(f"2{k1}{k2}" for k1 in "SC" for k2 in "SC")
 
 _TOKEN_RE = re.compile(r"([SC])(\d*)")
+_LEVELS_RE = re.compile(r"(\d+)([SC0-9]+)")
+_PAR_RE = re.compile(r"C(\d+)")
 
 
 def _tokenize(body: str):
@@ -59,6 +70,24 @@ def _tokenize(body: str):
         tokens.append((kind, w))
         pos = m.end()
     return tokens
+
+
+def _level_tokens(name: str, up: str):
+    """Tokens of an ``<n><tokens>`` name; raises ValueError if malformed."""
+    m = _LEVELS_RE.fullmatch(up)
+    if not m:
+        raise ValueError(f"cannot parse scheme name {name!r}")
+    levels, tokens = int(m.group(1)), _tokenize(m.group(2))
+    if len(tokens) != levels:
+        raise ValueError(
+            f"{name}: {levels} levels declared but {len(tokens)} merge "
+            f"tokens given"
+        )
+    return tokens
+
+
+def _token_str(kind: str, width: int) -> str:
+    return "S" if kind == "S" else ("C" if width == 2 else f"C{width}")
 
 
 def _block(kind: str, inputs: list):
@@ -135,22 +164,13 @@ def parse_scheme(name: str, n_threads: int | None = None) -> Scheme:
         return Scheme("ST", Leaf(0))
     if up == "1S":
         return Scheme("1S", Node("S", Leaf(0), Leaf(1)))
-    m = re.fullmatch(r"C(\d+)", up)
+    m = _PAR_RE.fullmatch(up)
     if m:
         w = int(m.group(1))
         if w < 2:
             raise ValueError(f"{name}: parallel block needs >= 2 threads")
         return Scheme(up, ParCsmt([Leaf(i) for i in range(w)]))
-    m = re.fullmatch(r"(\d+)([SC0-9]+)", up)
-    if not m:
-        raise ValueError(f"cannot parse scheme name {name!r}")
-    levels, body = int(m.group(1)), m.group(2)
-    tokens = _tokenize(body)
-    if len(tokens) != levels:
-        raise ValueError(
-            f"{name}: {levels} levels declared but {len(tokens)} merge "
-            f"tokens given"
-        )
+    tokens = _level_tokens(name, up)
     natural = tokens[0][1] + sum(w - 1 for _k, w in tokens[1:])
     candidates = (n_threads,) if n_threads is not None else (4, natural)
     for nt in candidates:
@@ -163,3 +183,47 @@ def parse_scheme(name: str, n_threads: int | None = None) -> Scheme:
         f"{name}: no interpretation covers "
         f"{n_threads if n_threads is not None else candidates} threads"
     )
+
+
+def scheme_tokens(name: str, n_threads: int) -> list | None:
+    """The cascade tokens ``name`` reads as at ``n_threads`` ports.
+
+    Returns ``[(kind, width), ...]`` in cascade order, the inverse of
+    :func:`scheme_name`: ``1S`` reads as ``[("S", 2)]`` and ``Ck`` (k >
+    2) as ``[("C", k)]``, the block ``1Ck`` also builds.  Returns None
+    when the name is no cascade at ``n_threads`` ports: ``ST``, the
+    parallel ``C2``, the 4-thread trees, a ``@t`` qualifier naming
+    another count, or a name that does not parse.
+    """
+    base, _, qual = name.strip().upper().partition("@")
+    if qual and not (qual.isdigit() and int(qual) == n_threads):
+        return None
+    m = _PAR_RE.fullmatch(base)
+    if m:
+        width = int(m.group(1))
+        return [("C", width)] if width == n_threads > 2 else None
+    try:
+        tokens = _level_tokens(name, base)
+    except ValueError:
+        return None
+    return tokens if _cascade(tokens, n_threads) is not None else None
+
+
+def scheme_name(tokens, n_threads: int) -> str | None:
+    """The name of a cascade token sequence at ``n_threads`` ports.
+
+    A lone ``C`` token wider than 2 folds to its ``Ck`` special form;
+    the name gains an ``@N`` qualifier when the bare name's default
+    reading (see :func:`parse_scheme`) covers a different port count.
+    Returns None when no name reads back as ``tokens`` at
+    ``n_threads`` ports (the tokens do not cover exactly that many);
+    malformed tokens raise ValueError.
+    """
+    tokens = list(tokens)
+    if len(tokens) == 1 and tokens[0][0] == "C" and tokens[0][1] > 2:
+        name = f"C{tokens[0][1]}"
+    else:
+        name = f"{len(tokens)}" + "".join(_token_str(k, w) for k, w in tokens)
+    if parse_scheme(name).n_ports != n_threads:
+        name = f"{name}@{n_threads}"
+    return name if scheme_tokens(name, n_threads) == tokens else None

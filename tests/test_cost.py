@@ -63,6 +63,11 @@ class TestFig5Shapes:
         assert crossings  # crossover exists
         assert min(crossings) >= 6  # not before 6 threads
         assert csmt_parallel(4).transistors < smt_serial(4).transistors
+        assert csmt_parallel(8).transistors > smt_serial(8).transistors
+
+    def test_every_curve_point_positive(self):
+        for fn in (csmt_serial, csmt_parallel, smt_serial):
+            assert all(fn(n).transistors > 0 for n in range(2, 9)), fn
 
     def test_csmt_delays_far_below_smt(self):
         for n in range(2, 9):
@@ -87,6 +92,7 @@ class TestFig9Transistors:
         dear = min(_sc(n).transistors for n in PAPER_SCHEMES if n not in pure)
         for n in pure:
             assert _sc(n).transistors < dear / 3
+            assert _sc(n).transistors < _sc("1S").transistors / 3
 
     def test_single_smt_block_near_1s(self):
         """'little difference' between 1S and single-S schemes."""
@@ -107,6 +113,11 @@ class TestFig9Transistors:
         costs = {n: _sc(n).transistors for n in PAPER_SCHEMES}
         top2 = sorted(costs, key=costs.get)[-2:]
         assert set(top2) == {"2SS", "3SSS"}
+        assert costs["3SSS"] == max(*costs.values(), _sc("1S").transistors)
+        # Figure 11: the last ~10% of IPC costs ~3x the transistors
+        assert costs["3SSS"] > 2.5 * costs["2SC3"]
+        for name in ("1S", "2SC3", "3SSS", "C4"):
+            assert _sc(name).transistors > 0, name
 
     def test_block_counts_reported(self):
         c = _sc("2SC3")
@@ -132,7 +143,8 @@ class TestFig9Delays:
         assert _sc("3SSC").gate_delays < _sc("3CSS").gate_delays
 
     def test_3sss_slowest(self):
-        worst = max(_sc(n).gate_delays for n in PAPER_SCHEMES if n != "3SSS")
+        worst = max(_sc(n).gate_delays for n in (*PAPER_SCHEMES, "1S")
+                    if n != "3SSS")
         assert _sc("3SSS").gate_delays >= worst
 
     def test_pure_csmt_fastest(self):

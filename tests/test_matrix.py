@@ -69,7 +69,9 @@ class TestSweepThreads:
         assert sweep_threads("sweep10") == 10
 
     def test_non_sweep_ids(self):
-        for name in ("fig10", "table1", "sweepy", "sweep2x"):
+        # sweep02 would queue its cells under sweep2
+        for name in ("fig10", "table1", "sweepy", "sweep2x", "sweep0",
+                     "sweep02"):
             assert sweep_threads(name) is None
 
 

@@ -1,8 +1,20 @@
-"""Scheme-name parser tests: all 16 paper names plus error handling."""
+"""Scheme-name parser tests: all 16 paper names, error handling, and
+the grammar read and written both ways (names <-> cascade tokens)."""
+
+import hashlib
 
 import pytest
 
-from repro.merge import PAPER_SCHEMES, SEMANTIC_EQUIV, canonical, parse_scheme
+from repro.eval.search import mutate_names
+from repro.eval.sweep import enumerate_names
+from repro.merge import (
+    PAPER_SCHEMES,
+    SEMANTIC_EQUIV,
+    canonical,
+    parse_scheme,
+    scheme_name,
+    scheme_tokens,
+)
 from repro.merge.registry import distinct_semantics, get_scheme, scheme_family
 from repro.merge.scheme import Leaf, Node, ParCsmt
 
@@ -126,3 +138,48 @@ class TestRegistry:
         for k, v in SEMANTIC_EQUIV.items():
             assert k in PAPER_SCHEMES
             assert v in PAPER_SCHEMES
+
+
+class TestTokens:
+    def test_cascade_tokens(self):
+        assert scheme_tokens("2SC3", 4) == [("S", 2), ("C", 3)]
+        assert scheme_tokens("1S", 2) == [("S", 2)]
+        assert scheme_tokens("C4", 4) == [("C", 4)]
+        assert scheme_tokens("2SC@3", 3) == [("S", 2), ("C", 2)]
+
+    def test_non_cascades_have_no_tokens(self):
+        for name, n in (("ST", 1), ("C2", 2), ("2SC", 4), ("2SC@3", 4),
+                        ("3SSS", 3), ("2SX", 4)):
+            assert scheme_tokens(name, n) is None, name
+
+    def test_names_fold_and_qualify(self):
+        assert scheme_name([("C", 4)], 4) == "C4"
+        assert scheme_name([("C", 2)], 2) == "1C"
+        assert scheme_name([("S", 2), ("C", 2)], 3) == "2SC@3"
+        assert scheme_name([("S", 2), ("C", 2)], 4) is None
+
+    def test_every_cascade_name_round_trips(self):
+        for n in range(1, 9):
+            for name in enumerate_names(n):
+                tokens = scheme_tokens(name, n)
+                if tokens is None:  # ST, C2 and the 4-thread trees
+                    assert name in ("ST", "C2") or \
+                        parse_scheme(name).n_ports == n == 4, name
+                    continue
+                assert scheme_name(tokens, n) == name
+
+    def test_enumeration_and_mutation_unchanged(self):
+        """sha256 over enumerate_names(1..10) and over mutate_names of
+        every enumerated name at 2..8 threads: the names the sweep and
+        the search generate stay exactly the pinned ones."""
+        names = hashlib.sha256()
+        for n in range(1, 11):
+            names.update(repr(enumerate_names(n)).encode())
+        assert names.hexdigest() == (
+            "ed6ea6ce536dfee441b1962c1d1ce73c3c2bdfaeaa7bff561632a4fb4a484d20")
+        mutants = hashlib.sha256()
+        for n in range(2, 9):
+            for name in enumerate_names(n):
+                mutants.update(repr((name, mutate_names(name, n))).encode())
+        assert mutants.hexdigest() == (
+            "3b9bdf6799dd7a0dfdb3614da4adb5871605e62d5bdea792e90fef08e01000fc")

@@ -670,3 +670,13 @@ class TestQueueCli:
         from repro.eval.cli import main
         assert main(["queue-init", _url(tmp_path), "-e", "fig99"]) == 1
         assert "unknown experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["sweep0", "sweep02", "fig9"])
+    def test_failed_init_leaves_the_queue_free(self, tmp_path, capsys, bad):
+        """An init that fails (a malformed sweep id, a static
+        experiment) writes nothing: the file still takes a campaign."""
+        from repro.eval.cli import main
+        url = _url(tmp_path)
+        assert main(["queue-init", url, "-e", bad, "--scale", "0.05"]) == 1
+        capsys.readouterr()
+        self._init(tmp_path, capsys)

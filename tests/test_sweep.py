@@ -138,6 +138,9 @@ class TestEnumerateCandidates:
             members = [m for g in enumerate_candidates(n) for m in g.members]
             assert sorted(members) == sorted(enumerate_names(n))
 
+    def test_eight_thread_space_has_610_members(self):
+        assert sum(len(g.members) for g in enumerate_candidates(8)) == 610
+
     def test_distinct_canonicals_have_distinct_keys(self):
         keys = [semantic_key(g.canonical) for g in enumerate_candidates(4)]
         assert len(keys) == len(set(keys))
