@@ -79,7 +79,6 @@ from repro.eval.sweep import (
     candidate_table,
     enumerate_candidates,
     enumerate_names,
-    run_sweep,
     sweep_cells,
     sweep_experiment_id,
     sweep_threads,
@@ -137,7 +136,6 @@ __all__ = [
     "run_cells",
     "run_fingerprint",
     "run_search",
-    "run_sweep",
     "run_worker",
     "rung_configs",
     "rungs_from_spec",

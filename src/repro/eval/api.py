@@ -60,8 +60,8 @@ from repro.eval.experiments import (
     default_config,
 )
 from repro.eval.result import ExperimentResult
-from repro.eval.runner import GridResult, check_tag
-from repro.eval.store import RunStore, config_fingerprint, open_store
+from repro.eval.runner import GridResult, check_tag, shard_cells
+from repro.eval.store import RunStore, open_store, run_fingerprint
 
 __all__ = ["Session"]
 
@@ -86,14 +86,11 @@ class _SessionStore:
         cells.update(self._session._cells.get(experiment, {}))
         return cells
 
-    def record_cell(self, experiment: str, key: str, value: float) -> None:
+    def record_cell(self, experiment: str, key: str, value: float,
+                    meta: dict | None = None) -> None:
         self._session._cells.setdefault(experiment, {})[key] = value
         if self._store is not None:
-            self._store.record_cell(experiment, key, value)
-
-    def record_cell_meta(self, experiment: str, key: str, meta: dict) -> None:
-        if self._store is not None:
-            self._store.record_cell_meta(experiment, key, meta)
+            self._store.record_cell(experiment, key, value, meta)
 
     def update_manifest(self, experiment: str, **fields) -> None:
         if self._store is not None:
@@ -166,15 +163,8 @@ class Session:
 
     def fingerprint(self) -> dict:
         """The store fingerprint of this session's campaign identity."""
-        fp = {"config": config_fingerprint(self.config),
-              "machine": self.machine.describe()}
-        if self.machines:
-            fp["machines"] = {t: m.describe()
-                              for t, m in sorted(self.machines.items())}
-        if self.configs:
-            fp["configs"] = {t: config_fingerprint(c)
-                             for t, c in sorted(self.configs.items())}
-        return fp
+        return run_fingerprint(self.config, self.machine, self.machines,
+                               self.configs)
 
     def machine_for(self, tag: str = ""):
         """Resolve a machine tag ("" = the session default)."""
@@ -269,25 +259,41 @@ class Session:
               config: str = "", shard=None, budget_transistors=None,
               budget_gate_delays=None, cost_params=None,
               save: bool = False) -> ExperimentResult:
-        """Run a design-space sweep campaign through this session.
+        """Sweep the ``threads``-thread design space over Table 2
+        workloads (default: all nine) through this session.
 
-        Same verbs and binding as :meth:`run`; see
-        :func:`repro.eval.sweep.run_sweep` for the campaign semantics
-        (``shard``, budgets, frontier assembly, calibrated
-        ``cost_params``).
+        Builds the :class:`~repro.eval.sweep.SweepPlan`, runs its cells
+        through :meth:`run_grid` — the same cache, store and tag
+        handling as :meth:`run` — and joins them with
+        :func:`~repro.eval.sweep.assemble_sweep` into the IPC/cost
+        artifact (design plane + frontier in ``result.meta``).
+        ``budget_transistors`` / ``budget_gate_delays`` add the
+        Section 5.2 recommendation; ``cost_params`` overrides the cost
+        model constants (``--calibrated`` passes the fitted ones).
+
+        ``shard=(index, count)`` simulates only that deterministic
+        slice of the grid (1-based) and returns a partial cell report
+        (:func:`~repro.eval.sweep.shard_result`), not a frontier: merge
+        the shard stores with :func:`~repro.eval.store.merge_runs` and
+        sweep again without ``shard`` to assemble it.
         """
-        from repro.eval.sweep import run_sweep
+        from repro.eval.sweep import SweepPlan, assemble_sweep, shard_result
 
-        result, grid = run_sweep(
-            threads, workloads, self.config_for(config),
-            self.machine_for(machine), jobs=self.jobs,
-            store=self._store_view, shard=shard,
-            machine_tag=machine, config_tag=config,
-            budget_transistors=budget_transistors,
-            budget_gate_delays=budget_gate_delays,
-            cost_params=cost_params)
-        self._grids[grid.experiment] = grid
-        self.last_grid = grid
+        mach = self.machine_for(machine)
+        self.config_for(config)  # validate the tag even if no cell runs
+        plan = SweepPlan.build(threads, workloads)
+        cells = plan.cells(machine_tag=machine, config_tag=config)
+        if shard is not None:
+            grid = self.run_grid(shard_cells(cells, *shard))
+            result = shard_result(plan, grid.values, shard, len(cells))
+        else:
+            grid = self.run_grid(cells)
+            result = assemble_sweep(
+                plan, grid.values, mach, machine_tag=machine,
+                config_tag=config, budget_transistors=budget_transistors,
+                budget_gate_delays=budget_gate_delays,
+                cost_params=cost_params)
+        self._grids[plan.experiment] = grid
         if machine:
             result = dataclasses.replace(
                 result, experiment=f"{result.experiment}@{machine}")
@@ -419,12 +425,11 @@ class Session:
         to the store when one is attached).
         """
         cells = list(cells)
-        if not cells:
-            return GridResult(experiment="")
         groups: dict[tuple, list] = {}
         for c in cells:
             groups.setdefault((c.machine, c.config), []).append(c)
-        combined = GridResult(experiment=cells[0].experiment)
+        combined = GridResult(experiment=cells[0].experiment if cells
+                              else "")
         for (mtag, ctag), part in groups.items():
             grid = experiments.run_cells(
                 part, self.config_for(ctag), self.machine_for(mtag),

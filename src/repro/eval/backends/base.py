@@ -116,20 +116,20 @@ class StoreBackend(Protocol):
         """Recorded cell values of one experiment (may be empty)."""
         ...
 
-    def save_cells(self, experiment: str, cells: dict[str, float]) -> None:
-        """Persist the *complete* cell mapping of one experiment."""
+    def save_cells(self, experiment: str, cells: dict[str, float],
+                   meta: dict[str, dict] | None = None) -> None:
+        """Record ``cells`` (key -> value) of one experiment in one write.
+
+        An upsert: cells recorded earlier, by this or any other writer,
+        are kept.  ``meta`` maps some of the written keys to diagnostic
+        metadata (engine stats etc.), recorded in the same call.
+        Metadata is best-effort provenance — never part of a cell's
+        value or the resume contract; losing it costs nothing but a
+        diagnostic."""
         ...
 
     def experiments_with_cells(self) -> list[str]:
         """Experiments with recorded cell values, sorted by name."""
-        ...
-
-    def save_cell_meta(self, experiment: str, key: str, meta: dict) -> None:
-        """Upsert diagnostic metadata for one cell (engine stats etc.).
-
-        Metadata is best-effort provenance — never part of a cell's
-        value or the resume contract; losing it costs nothing but a
-        diagnostic."""
         ...
 
     def load_cell_meta(self, experiment: str) -> dict[str, dict]:

@@ -8,6 +8,11 @@ directories keep working, and the bytes written are identical)::
         cells/fig10.json     # cell key -> measured value
         meta/fig10.json      # cell key -> diagnostic metadata (optional)
         fig10.json           # final ExperimentResult artifact
+
+Each ``cells/`` and ``meta/`` file is the *complete* mapping of its
+experiment, rewritten atomically.  A write therefore re-reads the file
+and merges its new entries in first, so two stores writing one
+directory never erase each other's cells.
 """
 
 from __future__ import annotations
@@ -46,21 +51,38 @@ class DirectoryBackend:
         atomic_write_text(os.path.join(self.path, _MANIFEST),
                           json.dumps(manifest, indent=2))
 
-    # -- cells -----------------------------------------------------------
+    # -- cells and their metadata ---------------------------------------
     def _cells_path(self, experiment: str) -> str:
         return os.path.join(self.path, "cells", f"{experiment}.json")
 
-    def load_cells(self, experiment: str) -> dict[str, float]:
+    def _meta_path(self, experiment: str) -> str:
+        return os.path.join(self.path, "meta", f"{experiment}.json")
+
+    @staticmethod
+    def _load_mapping(path: str) -> dict:
         try:
-            with open(self._cells_path(experiment)) as f:
+            with open(path) as f:
                 return json.load(f)
         except (OSError, json.JSONDecodeError):
             return {}
 
-    def save_cells(self, experiment: str, cells: dict[str, float]) -> None:
+    def _merge_into(self, path: str, entries: dict) -> None:
+        """Rewrite one complete-mapping file with ``entries`` merged in."""
+        recorded = self._load_mapping(path)
+        recorded.update(entries)
+        atomic_write_text(path, json.dumps(recorded, indent=0,
+                                           sort_keys=True))
+
+    def load_cells(self, experiment: str) -> dict[str, float]:
+        return self._load_mapping(self._cells_path(experiment))
+
+    def save_cells(self, experiment: str, cells: dict[str, float],
+                   meta: dict[str, dict] | None = None) -> None:
         self.ensure()
-        atomic_write_text(self._cells_path(experiment),
-                          json.dumps(cells, indent=0, sort_keys=True))
+        self._merge_into(self._cells_path(experiment), cells)
+        if meta:
+            os.makedirs(os.path.join(self.path, "meta"), exist_ok=True)
+            self._merge_into(self._meta_path(experiment), meta)
 
     def experiments_with_cells(self) -> list[str]:
         try:
@@ -69,23 +91,8 @@ class DirectoryBackend:
             return []
         return sorted(n[:-5] for n in names if n.endswith(".json"))
 
-    # -- cell metadata ----------------------------------------------------
-    def _meta_path(self, experiment: str) -> str:
-        return os.path.join(self.path, "meta", f"{experiment}.json")
-
-    def save_cell_meta(self, experiment: str, key: str, meta: dict) -> None:
-        os.makedirs(os.path.join(self.path, "meta"), exist_ok=True)
-        recorded = self.load_cell_meta(experiment)
-        recorded[key] = meta
-        atomic_write_text(self._meta_path(experiment),
-                          json.dumps(recorded, indent=0, sort_keys=True))
-
     def load_cell_meta(self, experiment: str) -> dict[str, dict]:
-        try:
-            with open(self._meta_path(experiment)) as f:
-                return json.load(f)
-        except (OSError, json.JSONDecodeError):
-            return {}
+        return self._load_mapping(self._meta_path(experiment))
 
     # -- artifacts -------------------------------------------------------
     def save_artifact(self, experiment: str, text: str) -> str:

@@ -22,8 +22,10 @@ Schema version 2 (stamped in ``kv`` under ``schema``)::
 A row carries a cell's value, queue state and metadata, so no write has
 to keep tables in step.  Every value write marks its row done, whatever
 its status was; a ``sqlite:`` store holds only done rows.  The *queue*
-is the rows that were enqueued (``cell`` is set); a row created by
-metadata alone has neither a value nor a status.
+is the rows that were enqueued (``cell`` is set).  Metadata is written
+only in the same statement as its cell's value (:meth:`~SQLiteBackend.
+save_cells`, :meth:`~SQLiteBackend.finish`), so a row holding metadata
+without a value can come only from an upgraded version-1 file.
 
 **Claiming is crash-safe.**  A claim is one ``BEGIN IMMEDIATE``
 transaction — SQLite takes the write lock before the read, so two
@@ -202,8 +204,8 @@ class SQLiteBackend:
     finish) over the same cell rows.
 
     The connection runs in autocommit mode: a single statement commits
-    on its own, and every multi-statement write (claim, enqueue, a
-    multi-row :meth:`save_cells`) is one explicit ``BEGIN IMMEDIATE``
+    on its own, and every multi-statement write (claim, enqueue,
+    :meth:`save_cells`) is one explicit ``BEGIN IMMEDIATE``
     transaction.  Cells cross this boundary as plain dicts, never as
     :class:`~repro.eval.runner.Cell` objects; the worker loop lives in
     :mod:`repro.eval.queue`.
@@ -217,9 +219,6 @@ class SQLiteBackend:
         self.path = str(path)
         self.url = f"{self.SCHEME}:{self.path}"
         self._conn: sqlite3.Connection | None = None
-        #: per-experiment mirror of what the database already holds, so a
-        #: complete-mapping save only upserts the changed rows.
-        self._known: dict[str, dict[str, float]] = {}
 
     def _connect(self, create: bool) -> sqlite3.Connection | None:
         if self._conn is not None:
@@ -306,34 +305,25 @@ class SQLiteBackend:
 
     # -- cells -----------------------------------------------------------
     def load_cells(self, experiment: str) -> dict[str, float]:
-        cells = dict(self._read(
+        return dict(self._read(
             "SELECT key, value FROM cells WHERE experiment = ? "
             "AND value IS NOT NULL", (experiment,)))
-        self._known[experiment] = dict(cells)
-        return cells
 
-    def save_cells(self, experiment: str, cells: dict[str, float]) -> None:
-        known = self._known.get(experiment)
-        if known is None:
-            known = self.load_cells(experiment)
-        fresh = [(experiment, k, v, None, None) for k, v in cells.items()
-                 if known.get(k) != v]
-        if fresh:
+    def save_cells(self, experiment: str, cells: dict[str, float],
+                   meta: dict[str, dict] | None = None) -> None:
+        meta = meta or {}
+        rows = [(experiment, key, value, None,
+                 json.dumps(meta[key], sort_keys=True) if key in meta
+                 else None)
+                for key, value in cells.items()]
+        if rows:
             with _immediate(self._connect(create=True)) as conn:
-                conn.executemany(_RECORD, fresh)
-        self._known[experiment] = dict(cells)
+                conn.executemany(_RECORD, rows)
 
     def experiments_with_cells(self) -> list[str]:
         return [r[0] for r in self._read(
             "SELECT DISTINCT experiment FROM cells WHERE value IS NOT NULL "
             "ORDER BY experiment")]
-
-    # -- cell metadata ----------------------------------------------------
-    def save_cell_meta(self, experiment: str, key: str, meta: dict) -> None:
-        self._connect(create=True).execute(
-            "INSERT INTO cells (experiment, key, meta) VALUES (?, ?, ?) "
-            "ON CONFLICT (experiment, key) DO UPDATE SET meta = excluded.meta",
-            (experiment, key, json.dumps(meta, sort_keys=True)))
 
     def load_cell_meta(self, experiment: str) -> dict[str, dict]:
         return {k: json.loads(meta) for k, meta in self._read(
@@ -429,8 +419,6 @@ class SQLiteBackend:
         self._locked_write(_RECORD, (
             experiment, key, value, time.time(),
             None if meta is None else json.dumps(meta, sort_keys=True)))
-        if experiment in self._known:
-            self._known[experiment][key] = value
 
     def fail(self, experiment: str, key: str, error: str) -> None:
         """Mark a claimed cell failed with a diagnostic."""

@@ -83,12 +83,7 @@ from repro.eval.queue import (
     reset_failed,
     run_worker,
 )
-from repro.eval.store import (
-    StoreMismatchError,
-    merge_runs,
-    open_store,
-    run_fingerprint,
-)
+from repro.eval.store import StoreMismatchError, merge_runs
 from repro.eval.scaling import scaling_report
 from repro.eval.search import run_search
 from repro.eval.sweep import candidate_table, sweep_experiment_id, sweep_threads
@@ -159,15 +154,23 @@ def _resolve_store_url(args) -> str | None:
     return first
 
 
-def _open_store(args, config, machine):
+def _base_config(args):
+    """The campaign's base config from ``--scale`` / ``--engine``."""
+    try:
+        return default_config(args.scale, engine=args.engine)
+    except ValueError as exc:
+        raise _CliError(f"--scale: {exc}") from None
+
+
+def _open_session(args, **session_kw) -> Session:
+    """A Session on the run store --out/--resume/--store name (if any).
+
+    The Session opens the store, so its fingerprint records every
+    machine/config variant the session registers.
+    """
     try:
         url = _resolve_store_url(args)  # may parse URLs for comparison
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
-    if not url:
-        return None
-    try:
-        return open_store(url, run_fingerprint(config, machine))
+        return Session(store=url, jobs=args.jobs, **session_kw)
     except (StoreMismatchError, ValueError) as exc:
         # ValueError: malformed store URL (unknown scheme, empty path)
         raise _CliError(str(exc)) from None
@@ -225,11 +228,8 @@ def _cmd_run(argv) -> int:
 
     names = sorted(EXPERIMENT_DEFS) if args.experiment == "all" \
         else [args.experiment]
-    config = default_config(args.scale, engine=args.engine)
-    machine = paper_machine()
-    store = _open_store(args, config, machine)
-    session = Session(machine=machine, config=config, store=store,
-                      jobs=args.jobs)
+    session = _open_session(args, machine=paper_machine(),
+                            config=_base_config(args))
 
     # the session caches fig10's result, so fig11/fig12 (and `-e all`)
     # reuse its simulations automatically.
@@ -251,8 +251,8 @@ def _cmd_run(argv) -> int:
                        f"{grid.reused} reused")
         print(status)
         print()
-        if store is not None:
-            path = store.save_artifact(result)
+        if session.store is not None:
+            path = session.store.save_artifact(result)
             print(f"  saved: {path}")
     return 1 if failures else 0
 
@@ -299,17 +299,14 @@ def _cmd_sweep(argv) -> int:
 
     workloads = _parse_workloads(args.workloads)
     shard = _parse_shard(args.shard) if args.shard else None
-    config = default_config(args.scale, engine=args.engine)
-    store = _open_store(args, config, machine)
-    if shard is not None and store is None:
+    session = _open_session(args, machine=machine, config=_base_config(args))
+    if shard is not None and session.store is None:
         raise _CliError(
             "--shard requires a run directory or store "
             "(--out/--resume/--store): a shard's cell values are its "
             "only output and exist to be merged later; without a store "
             "they would be discarded"
         )
-    session = Session(machine=machine, config=config, store=store,
-                      jobs=args.jobs)
 
     t0 = time.time()
     try:
@@ -319,15 +316,15 @@ def _cmd_sweep(argv) -> int:
             budget_gate_delays=args.budget_gate_delays,
             cost_params=CostParams.fit() if args.calibrated else None)
     except (KeyError, ValueError) as exc:
-        # e.g. unknown/duplicate --workloads, validated by run_sweep
+        # e.g. unknown/duplicate --workloads, validated by SweepPlan
         raise _CliError(exc.args[0] if exc.args else str(exc)) from None
     grid = session.last_grid
     print(result.render())
     print(f"  [{time.time() - t0:.1f}s]  cells: {grid.executed} simulated, "
           f"{grid.reused} reused")
     print()
-    if store is not None and shard is None:
-        path = store.save_artifact(result)
+    if session.store is not None and shard is None:
+        path = session.store.save_artifact(result)
         print(f"  saved: {path}")
     return 0
 
@@ -394,22 +391,12 @@ def _cmd_search(argv) -> int:
     except ValueError as exc:
         raise _CliError(f"bad --rungs: {exc}") from None
     workloads = _parse_workloads(args.workloads)
-    base = default_config(args.scale, engine=args.engine)
-    try:
-        url = _resolve_store_url(args)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
-    # the store is opened by the Session (not _open_store) so its
-    # fingerprint records the rung-config registry of this search.
-    try:
-        session = Session(machine=paper_machine(), config=base,
-                          configs=rung_configs(base, rungs),
-                          store=url, jobs=args.jobs)
-    except (StoreMismatchError, ValueError) as exc:
-        raise _CliError(str(exc)) from None
+    base = _base_config(args)
+    session = _open_session(args, machine=paper_machine(), config=base,
+                            configs=rung_configs(base, rungs))
 
     queue_spec = None
-    if url is not None and parse_store_url(url)[0] == "queue":
+    if session.store is not None and session.store.url.startswith("queue:"):
         # fleet mode: the spec lets `repro-eval worker --follow`
         # processes rebuild every rung config and drain alongside us.
         queue_spec = CampaignSpec(
@@ -490,18 +477,8 @@ def _cmd_matrix(argv) -> int:
     except ValueError as exc:
         raise _CliError(str(exc)) from None
 
-    config = default_config(args.scale, engine=args.engine)
-    try:
-        url = _resolve_store_url(args)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
-    # the store is opened by the Session (not _open_store) so its
-    # fingerprint records the machine registry of this campaign.
-    try:
-        session = Session(machine=paper_machine(), machines=machines,
-                          config=config, store=url, jobs=args.jobs)
-    except (StoreMismatchError, ValueError) as exc:
-        raise _CliError(str(exc)) from None
+    session = _open_session(args, machine=paper_machine(),
+                            machines=machines, config=_base_config(args))
 
     is_sweep = sweep_threads(args.experiment) is not None
     kw = {}
@@ -630,6 +607,7 @@ def _cmd_queue_init(argv) -> int:
     if args.machines:
         machines = tuple(t.strip()
                          for t in args.machines.split(",") if t.strip())
+    _base_config(args)  # name a bad --scale before the spec refuses it
     try:
         spec = CampaignSpec(experiment=args.experiment, scale=args.scale,
                             engine=args.engine, workloads=workloads,

@@ -65,9 +65,8 @@ from repro.eval.runner import (
     run_cell_detailed,
     run_cells_batch,
 )
-from repro.eval.store import RunStore, config_fingerprint, run_fingerprint
+from repro.eval.store import RunStore, open_store, run_fingerprint
 from repro.eval.sweep import sweep_cells, sweep_threads
-from repro.sim import ENGINES
 
 __all__ = [
     "CampaignSpec",
@@ -176,11 +175,10 @@ class CampaignSpec:
         for tag in ("", self.machine, *self.machines):
             if tag:
                 preset_machine(tag)  # unknown presets raise here, early
-        # likewise an unregistered engine: a stored spec naming one must
-        # stop a worker before it claims, not fail every cell it claims.
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; choose "
-                             f"from {sorted(ENGINES)}")
+        # likewise a bad scale or an unregistered engine, which the
+        # config refuses: a stored spec naming one must stop a worker
+        # before it claims, not fail every cell it claims.
+        self.config()
 
     # -- execution context ------------------------------------------------
     def config(self):
@@ -240,16 +238,10 @@ class CampaignSpec:
         ``matrix`` / ``search`` ``--store queue:...`` resume a drained
         queue.
         """
-        fp = run_fingerprint(self.config(), self.machine_for())
-        if self.machines:
-            fp["machines"] = {tag: preset_machine(tag).describe()
-                              for tag in sorted(self.machines)}
-        if self.configs:
-            base = self.config()
-            fp["configs"] = {
-                tag: config_fingerprint(base.scaled(scale))
-                for tag, scale in sorted(self.configs)}
-        return fp
+        return run_fingerprint(
+            self.config(), self.machine_for(),
+            {tag: self.machine_for(tag) for tag in self.machines},
+            {tag: self.config_for(tag) for tag, _scale in self.configs})
 
     # -- persistence ------------------------------------------------------
     def to_dict(self) -> dict:
@@ -291,7 +283,7 @@ def init_queue(store, spec: CampaignSpec) -> "QueueStatus":
         by_experiment.setdefault(cell.experiment, {})[cell.key] = \
             dataclasses.asdict(cell)
     backend = _as_queue(store)
-    RunStore.open_or_create(backend, spec.fingerprint())
+    open_store(backend, spec.fingerprint())
     existing = backend.load_campaign()
     if existing is not None and existing != spec.to_dict():
         raise ValueError(

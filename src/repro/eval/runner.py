@@ -312,9 +312,7 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
         result.values[key] = value
         result.executed += 1
         if store is not None:
-            store.record_cell(experiment, key, value)
-            if meta is not None:
-                store.record_cell_meta(experiment, key, meta)
+            store.record_cell(experiment, key, value, meta)
 
     batched = config.engine == "batch" and len(pending) > 1
     if batched and jobs > 1:

@@ -23,7 +23,8 @@ unit = one candidate over the whole workload set at full fidelity), as
 a fraction of the exhaustive sweep's cost.  A budget that affords the
 whole space (``budget=None`` or >= 1.0) short-circuits to the
 exhaustive evaluation — every candidate straight to full fidelity — so
-the search's frontier is *bit-identical* to ``run_sweep``'s (CI gates
+the search's frontier is *bit-identical* to
+:meth:`Session.sweep <repro.eval.api.Session.sweep>`'s (CI gates
 this).  A capped budget trims each promotion deterministically so the
 remaining rungs stay affordable; every trim is reported, never silent.
 
@@ -250,7 +251,7 @@ def run_search(session, n_threads: int = 4, workloads=None, *,
         session: the :class:`~repro.eval.api.Session` to evaluate
             through.  Its config registry must carry the reduced rungs
             (``configs=rung_configs(base, rungs)``).
-        n_threads / workloads: the plan, as in ``run_sweep``.
+        n_threads / workloads: the plan, as in ``Session.sweep``.
         machine: session machine tag to search on ("" = default).
         rungs: the fidelity ladder (ascending, ending at full).
         budget: fraction of the exhaustive full-fidelity cost this

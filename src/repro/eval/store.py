@@ -67,10 +67,19 @@ def config_fingerprint(config) -> dict:
     return json.loads(json.dumps(cfg, default=str))
 
 
-def run_fingerprint(config, machine) -> dict:
-    """JSON-able identity of one campaign's (config, machine) pair."""
-    return {"config": config_fingerprint(config),
-            "machine": machine.describe()}
+def run_fingerprint(config, machine, machines=None, configs=None) -> dict:
+    """JSON-able identity of one campaign: its base config and default
+    machine, plus the named machine (``{tag: Machine}``) and config
+    (``{tag: SimConfig}``) variants when it registers any."""
+    fp = {"config": config_fingerprint(config),
+          "machine": machine.describe()}
+    if machines:
+        fp["machines"] = {tag: m.describe()
+                          for tag, m in sorted(machines.items())}
+    if configs:
+        fp["configs"] = {tag: config_fingerprint(c)
+                         for tag, c in sorted(configs.items())}
+    return fp
 
 
 _ABSENT = object()
@@ -119,7 +128,7 @@ class RunStore:
     ``path_or_backend`` may be a directory path (the historical form), a
     store URL (``dir:...`` / ``sqlite:...db``), or an already-built
     backend instance.  Constructing a store never creates storage; use
-    :meth:`open_or_create` (or :func:`open_store`) for that.
+    :func:`open_store` for that.
     """
 
     def __init__(self, path_or_backend):
@@ -139,39 +148,7 @@ class RunStore:
         """Canonical store URL (``dir:...`` / ``sqlite:...``)."""
         return self.backend.url
 
-    # -- creation / open -------------------------------------------------
-    @classmethod
-    def open_or_create(cls, path, fingerprint: dict | None = None
-                       ) -> "RunStore":
-        """Open an existing run store or create a fresh one.
-
-        When ``fingerprint`` is given and the store already has a
-        manifest, the fingerprints must match (else
-        :class:`StoreMismatchError`); a fresh store records it.
-        """
-        store = _as_store(path)
-        store.backend.ensure()
-        manifest = store.manifest()
-        if manifest is None:
-            store._write_manifest({"fingerprint": fingerprint or {},
-                                   "experiments": {}})
-        elif fingerprint is not None:
-            recorded = manifest.get("fingerprint")
-            if not recorded:
-                # store created without a fingerprint: adopt this one
-                # so later resumes are guarded.
-                manifest["fingerprint"] = fingerprint
-                store._write_manifest(manifest)
-            elif recorded != fingerprint:
-                diffs = "; ".join(_fingerprint_diff(recorded, fingerprint))
-                raise StoreMismatchError(
-                    f"run store {store.url!r} was created with a "
-                    f"different config/machine ({diffs}); use a fresh "
-                    f"--out/--store location or rerun with the store's "
-                    f"settings"
-                )
-        return store
-
+    # -- manifest --------------------------------------------------------
     def manifest(self) -> dict | None:
         return self.backend.load_manifest()
 
@@ -191,31 +168,28 @@ class RunStore:
             self._cells[experiment] = self.backend.load_cells(experiment)
         return self._cells[experiment]
 
-    def record_cell(self, experiment: str, key: str, value: float) -> None:
-        """Record one completed cell (write-through, atomic)."""
-        cells = self.load_cells(experiment)
-        cells[key] = value
-        self.backend.save_cells(experiment, cells)
-
-    def record_cells(self, experiment: str, values: dict) -> None:
-        """Record a batch of completed cells in one write."""
-        cells = self.load_cells(experiment)
-        cells.update(values)
-        self.backend.save_cells(experiment, cells)
-
-    def experiments_with_cells(self) -> list[str]:
-        """Experiments that have recorded cell values, sorted by name."""
-        return self.backend.experiments_with_cells()
-
-    # -- cell metadata (diagnostic) ----------------------------------------
-    def record_cell_meta(self, experiment: str, key: str,
-                         meta: dict) -> None:
-        """Record diagnostic metadata for one cell (engine stats etc.).
+    def record_cell(self, experiment: str, key: str, value: float,
+                    meta: dict | None = None) -> None:
+        """Record one completed cell and its diagnostic metadata (engine
+        stats etc.) in one write-through call.
 
         Metadata rides alongside the cell value but is never part of it:
         resume, merge and fingerprint checks ignore it entirely.
         """
-        self.backend.save_cell_meta(experiment, key, meta)
+        self.record_cells(experiment, {key: value},
+                          None if meta is None else {key: meta})
+
+    def record_cells(self, experiment: str, values: dict,
+                     meta: dict | None = None) -> None:
+        """Record a batch of completed cells (and ``{key: meta}``) in one
+        write; cells recorded earlier are kept."""
+        self.backend.save_cells(experiment, values, meta)
+        if experiment in self._cells:
+            self._cells[experiment].update(values)
+
+    def experiments_with_cells(self) -> list[str]:
+        """Experiments that have recorded cell values, sorted by name."""
+        return self.backend.experiments_with_cells()
 
     def load_cell_meta(self, experiment: str) -> dict[str, dict]:
         """Recorded per-cell metadata of one experiment (may be empty)."""
@@ -261,10 +235,33 @@ class RunStore:
 def open_store(url, fingerprint: dict | None = None) -> RunStore:
     """Open (creating if necessary) a run store from a URL/path/backend.
 
-    The friendly entry point for the URL form: ``open_store("results")``,
-    ``open_store("sqlite:campaign.db", run_fingerprint(cfg, machine))``.
+    ``open_store("results")``, ``open_store("sqlite:campaign.db",
+    run_fingerprint(cfg, machine))``.  When ``fingerprint`` is given and
+    the store already has a manifest, the fingerprints must match (else
+    :class:`StoreMismatchError`); a fresh store records it.
     """
-    return RunStore.open_or_create(url, fingerprint)
+    store = _as_store(url)
+    store.backend.ensure()
+    manifest = store.manifest()
+    if manifest is None:
+        store._write_manifest({"fingerprint": fingerprint or {},
+                               "experiments": {}})
+    elif fingerprint is not None:
+        recorded = manifest.get("fingerprint")
+        if not recorded:
+            # store created without a fingerprint: adopt this one so
+            # later resumes are guarded.
+            manifest["fingerprint"] = fingerprint
+            store._write_manifest(manifest)
+        elif recorded != fingerprint:
+            diffs = "; ".join(_fingerprint_diff(recorded, fingerprint))
+            raise StoreMismatchError(
+                f"run store {store.url!r} was created with a "
+                f"different config/machine ({diffs}); use a fresh "
+                f"--out/--store location or rerun with the store's "
+                f"settings"
+            )
+    return store
 
 
 def merge_runs(dest_path, source_paths) -> RunStore:
@@ -312,7 +309,7 @@ def merge_runs(dest_path, source_paths) -> RunStore:
                 f"config/machine than the other sources"
             )
     fingerprint = present[0] if present else None
-    dest = RunStore.open_or_create(dest_path, fingerprint)
+    dest = open_store(dest_path, fingerprint)
     if fingerprint is None and dest.fingerprint() is not None:
         raise StoreMismatchError(
             f"destination {dest.url!r} records a config/machine "
@@ -336,6 +333,8 @@ def merge_runs(dest_path, source_paths) -> RunStore:
                     )
                 bucket[key] = value
     for experiment, cells in merged.items():
-        dest.record_cells(experiment, cells)
+        recorded = dest.load_cells(experiment)
+        dest.record_cells(experiment, {k: v for k, v in cells.items()
+                                       if k not in recorded})
         dest.update_manifest(experiment, cells=len(cells))
     return dest

@@ -28,8 +28,10 @@ published 4-thread schemes.  This module mechanizes the walk over the
    points, the Pareto frontier, and (under ``--budget-*`` limits) the
    Section 5.2 recommendation.  It never simulates, so any cell subset
    already in a store can be joined incrementally.
-5. :func:`run_sweep` composes the three: build the plan, run its cells,
-   assemble the artifact.
+5. :meth:`Session.sweep <repro.eval.api.Session.sweep>` composes the
+   three: build the plan, run its cells through the session's grid
+   executor, assemble the artifact (or, for one ``--shard i/N`` slice,
+   the partial cell report of :func:`shard_result`).
 
 The split is what :mod:`~repro.eval.search` builds on: guided search
 evaluates *subsets* of a plan's cells at several fidelities and joins
@@ -49,10 +51,9 @@ from functools import lru_cache
 
 from repro.arch import paper_machine
 from repro.cost import scheme_cost
-from repro.eval.experiments import default_config
 from repro.eval.pareto import design_points, pareto_frontier, recommend
 from repro.eval.result import ExperimentResult
-from repro.eval.runner import Cell, GridResult, run_cells, shard_cells
+from repro.eval.runner import Cell
 from repro.merge import (
     canonical_root,
     get_scheme,
@@ -70,7 +71,7 @@ __all__ = [
     "candidate_table",
     "enumerate_candidates",
     "enumerate_names",
-    "run_sweep",
+    "shard_result",
     "sweep_cells",
     "sweep_experiment_id",
     "sweep_threads",
@@ -366,81 +367,26 @@ def assemble_sweep(plan: SweepPlan, values, machine=None, *,
     )
 
 
-def run_sweep(n_threads: int = 4, workloads=None, config=None, machine=None,
-              *, jobs: int = 1, store=None, shard=None,
-              machine_tag: str = "", config_tag: str = "",
-              budget_transistors: float | None = None,
-              budget_gate_delays: float | None = None,
-              cost_params=None
-              ) -> tuple[ExperimentResult, GridResult]:
-    """Sweep the N-thread design space over Table 2 workloads.
-
-    A thin composition of the layers: :meth:`SweepPlan.build` (what to
-    measure), :func:`~repro.eval.runner.run_cells` (measure it),
-    :func:`assemble_sweep` (join it).
-
-    Args:
-        n_threads: port count of every candidate scheme.
-        workloads: Table 2 workload names (default: all nine).
-        config: base :class:`~repro.sim.config.SimConfig`.
-        machine: target machine (default: the paper's).
-        jobs: worker processes for the grid.
-        store: optional :class:`~repro.eval.store.RunStore` for
-            resume/sharding.
-        shard: optional ``(index, count)`` - simulate only that
-            deterministic slice of the grid (1-based).  The result is
-            then a partial cell report, not a frontier; merge the shard
-            run stores with :func:`~repro.eval.store.merge_runs`
-            and re-run without ``shard`` to assemble the frontier.
-        machine_tag / config_tag: identity tags stamped on every cell
-            for multi-machine / multi-scale campaigns (``machine`` must
-            then be the machine the tag names).  Defaults keep the
-            historical single-machine cell keys.
-        budget_transistors / budget_gate_delays: optional hardware
-            budget for the Section 5.2 recommendation.
-        cost_params: optional :class:`~repro.cost.gates.CostParams`
-            override for the join (``--calibrated`` passes the fitted
-            parameters).
-
-    Returns:
-        ``(result, grid)``: the artifact (design plane + frontier in
-        ``result.meta``) and the grid's executed/reused counts.
-    """
-    machine = machine or paper_machine()
-    config = config or default_config()
-    plan = SweepPlan.build(n_threads, workloads)
-    cells = plan.cells(machine_tag=machine_tag, config_tag=config_tag)
-
-    if shard is not None:
-        index, count = shard
-        part = shard_cells(cells, index, count)
-        grid = run_cells(part, config, machine, jobs=jobs, store=store)
-        rows = [(key, round(grid.values[key], 4))
-                for key in sorted(grid.values)]
-        result = ExperimentResult(
-            experiment=f"{plan.experiment}.shard{index}of{count}",
-            title=(f"{n_threads}-thread scheme sweep - shard "
-                   f"{index}/{count} ({len(part)} of {len(cells)} cells)"),
-            columns=["cell", "IPC"],
-            rows=rows,
-            notes=[
-                "partial campaign: merge the shard run directories "
-                "(repro-eval merge DEST SRC...) and re-run the sweep "
-                "with --resume DEST to assemble the frontier",
-            ],
-            meta={"threads": n_threads, "workloads": list(plan.workloads),
-                  "shard": f"{index}/{count}",
-                  "cells_total": len(cells), "cells_in_shard": len(part)},
-        )
-        return result, grid
-
-    grid = run_cells(cells, config, machine, jobs=jobs, store=store)
-    result = assemble_sweep(plan, grid.values, machine,
-                            machine_tag=machine_tag, config_tag=config_tag,
-                            budget_transistors=budget_transistors,
-                            budget_gate_delays=budget_gate_delays,
-                            cost_params=cost_params)
-    return result, grid
+def shard_result(plan: SweepPlan, values, shard: tuple,
+                 cells_total: int) -> ExperimentResult:
+    """The partial cell report of one ``shard=(index, count)`` slice of
+    a plan's grid: ``values`` maps the slice's cell keys to IPC."""
+    index, count = shard
+    return ExperimentResult(
+        experiment=f"{plan.experiment}.shard{index}of{count}",
+        title=(f"{plan.n_threads}-thread scheme sweep - shard "
+               f"{index}/{count} ({len(values)} of {cells_total} cells)"),
+        columns=["cell", "IPC"],
+        rows=[(key, round(values[key], 4)) for key in sorted(values)],
+        notes=[
+            "partial campaign: merge the shard run directories "
+            "(repro-eval merge DEST SRC...) and re-run the sweep "
+            "with --resume DEST to assemble the frontier",
+        ],
+        meta={"threads": plan.n_threads, "workloads": list(plan.workloads),
+              "shard": f"{index}/{count}",
+              "cells_total": cells_total, "cells_in_shard": len(values)},
+    )
 
 
 def candidate_table(n_threads: int = 4, machine=None) -> ExperimentResult:

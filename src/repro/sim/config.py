@@ -9,6 +9,7 @@ rate, since IPC converges within a few thousand cycles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.merge.registry import get_scheme
@@ -60,7 +61,13 @@ class SimConfig:
         warmup:measurement ratio is scale-invariant — ``scaled(0.04)``
         warms 80 instructions before an 800-instruction measurement, not
         the unscaled 2000 (which would out-run the measurement itself).
+        ``factor`` must be a positive finite number: anything else would
+        clamp to a 1-instruction quota (or a negative warmup) and
+        simulate garbage.
         """
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError(f"scale factor must be a positive finite "
+                             f"number, got {factor!r}")
         return replace(
             self,
             timeslice=max(1, int(self.timeslice * factor)),

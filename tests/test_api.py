@@ -5,9 +5,9 @@ import pytest
 from repro.arch import paper_machine, small_machine
 from repro.eval import (
     Cell,
-    RunStore,
     Session,
     StoreMismatchError,
+    open_store,
     run_cells,
 )
 from repro.eval import experiments
@@ -118,7 +118,7 @@ class TestSessionVerbs:
 class TestMultiMachine:
     def test_machine_tag_resolves_and_stamps_cells(self, tmp_path):
         small = small_machine()
-        store = RunStore.open_or_create(tmp_path / "run")
+        store = open_store(tmp_path / "run")
         session = Session(machines={"small": small}, config=TINY,
                           store=store)
         tagged = session.run("fig6", machine="small")
@@ -133,7 +133,7 @@ class TestMultiMachine:
 
     def test_default_and_tagged_coexist_in_one_store(self, machine,
                                                      tmp_path):
-        store = RunStore.open_or_create(tmp_path / "run")
+        store = open_store(tmp_path / "run")
         session = Session(machine=machine,
                           machines={"small": small_machine()},
                           config=TINY, store=store)

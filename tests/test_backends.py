@@ -105,15 +105,24 @@ class TestBackendRoundTrip:
         assert not os.path.exists(backend.path)
 
     def test_cell_meta_round_trip(self, kind, tmp_path):
+        """Metadata is written in the same ``save_cells`` call as the
+        values it describes, for the keys it names."""
         backend = _backend(kind, tmp_path, "meta")
-        meta = {"engine": "batch",
-                "engine_stats": {"batch_cells": 3, "batch_groups": 1}}
-        backend.save_cell_meta("fig10", "workload:LLLL:3CCC:base", meta)
-        backend.save_cell_meta("fig10", "workload:LLLL:3CCC:base", meta)
+        key = "workload:LLLL:3CCC:base"
+        meta = {"engine": "fast", "engine_stats": {"engine": "fast"}}
+        backend.save_cells("fig10", {key: 1.5, "other": 2.0}, {key: meta})
+        backend.save_cells("fig10", {key: 1.5}, {key: meta})
         fresh = open_backend(backend.url)
-        assert fresh.load_cell_meta("fig10") == {
-            "workload:LLLL:3CCC:base": meta}
+        assert fresh.load_cells("fig10") == {key: 1.5, "other": 2.0}
+        assert fresh.load_cell_meta("fig10") == {key: meta}
         assert fresh.load_cell_meta("other") == {}
+
+    def test_save_cells_keeps_earlier_cells(self, kind, tmp_path):
+        backend = _backend(kind, tmp_path, "upsert")
+        backend.save_cells("x", {"k1": 1.0, "k2": 2.0})
+        backend.save_cells("x", {"k2": 2.5, "k3": 3.0})
+        assert open_backend(backend.url).load_cells("x") == {
+            "k1": 1.0, "k2": 2.5, "k3": 3.0}
 
 
 class TestBackendParity:
@@ -122,7 +131,7 @@ class TestBackendParity:
     def test_both_backends_store_identical_campaigns(self, tmp_path_factory,
                                                      campaign):
         tmp = tmp_path_factory.mktemp("par")
-        stores = [RunStore.open_or_create(tmp / "d", {"f": 1}),
+        stores = [open_store(tmp / "d", {"f": 1}),
                   open_store(f"sqlite:{tmp / 's.db'}", {"f": 1})]
         for store in stores:
             for experiment, cells in campaign.items():
@@ -149,13 +158,13 @@ class TestBackendParity:
             return store
 
         # mixed: directory shard + sqlite shard -> sqlite destination
-        populate(RunStore.open_or_create(tmp / "d", {"f": 1}), left)
+        populate(open_store(tmp / "d", {"f": 1}), left)
         populate(open_store(f"sqlite:{tmp / 's.db'}", {"f": 1}), right)
         mixed = merge_runs(f"sqlite:{tmp / 'mixed.db'}",
                            [tmp / "d", f"sqlite:{tmp / 's.db'}"])
         # single-backend reference: two directory shards -> directory
-        populate(RunStore.open_or_create(tmp / "d1", {"f": 1}), left)
-        populate(RunStore.open_or_create(tmp / "d2", {"f": 1}), right)
+        populate(open_store(tmp / "d1", {"f": 1}), left)
+        populate(open_store(tmp / "d2", {"f": 1}), right)
         single = merge_runs(tmp / "single", [tmp / "d1", tmp / "d2"])
         assert (mixed.experiments_with_cells()
                 == single.experiments_with_cells())
@@ -163,8 +172,22 @@ class TestBackendParity:
             assert (mixed.load_cells(experiment)
                     == single.load_cells(experiment))
 
+    @pytest.mark.parametrize("kind", ["dir", "sqlite"])
+    def test_two_stores_on_one_location_keep_each_others_cells(
+            self, kind, tmp_path):
+        """A store's read cache never stands in for what is recorded: a
+        write by one store keeps the cells another store wrote after
+        the first one last read."""
+        url = _backend(kind, tmp_path, "shared").url
+        a = open_store(url)
+        b = RunStore(url)
+        assert a.load_cells("x") == {}
+        b.record_cell("x", "k1", 1.0)
+        a.record_cell("x", "k2", 2.0)
+        assert RunStore(url).load_cells("x") == {"k1": 1.0, "k2": 2.0}
+
     def test_conflicting_mixed_merge_rejected(self, tmp_path):
-        a = RunStore.open_or_create(tmp_path / "d", {"f": 1})
+        a = open_store(tmp_path / "d", {"f": 1})
         b = open_store(f"sqlite:{tmp_path / 's.db'}", {"f": 1})
         a.record_cell("x", "k", 1.0)
         b.record_cell("x", "k", 2.0)
@@ -200,7 +223,7 @@ class TestUrls:
                           QueueBackend)
 
     def test_runstore_accepts_urls(self, tmp_path):
-        store = RunStore.open_or_create(f"sqlite:{tmp_path / 'c.db'}")
+        store = open_store(f"sqlite:{tmp_path / 'c.db'}")
         store.record_cell("x", "k", 1.0)
         assert RunStore(store.url).load_cells("x") == {"k": 1.0}
 
@@ -250,7 +273,7 @@ class TestCliStore:
     def test_merge_subcommand_mixes_backends(self, tmp_path, capsys):
         from repro.eval.cli import main
 
-        d = RunStore.open_or_create(tmp_path / "d", {"f": 1})
+        d = open_store(tmp_path / "d", {"f": 1})
         d.record_cell("x", "k1", 1.0)
         s = open_store(f"sqlite:{tmp_path / 's.db'}", {"f": 1})
         s.record_cell("x", "k2", 2.0)

@@ -121,6 +121,14 @@ class TestSimConfig:
     def test_scaled_keeps_zero_warmup_zero(self):
         assert SimConfig(warmup_instrs=0).scaled(0.5).warmup_instrs == 0
 
+    @pytest.mark.parametrize("factor", [0, -1, float("nan"), float("inf")])
+    def test_scaled_rejects_a_factor_that_is_not_positive_and_finite(
+            self, factor):
+        """Regression: scaled(-1) clamped to a 1-instruction quota with
+        a negative warmup and simulated a meaningless IPC."""
+        with pytest.raises(ValueError, match="positive finite"):
+            SimConfig().scaled(factor)
+
     def test_frozen(self):
         cfg = SimConfig()
         with pytest.raises(Exception):

@@ -238,6 +238,12 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="static"):
             CampaignSpec(experiment="fig5").cells()
 
+    def test_bad_scale_is_refused(self):
+        with pytest.raises(ValueError, match="positive finite"):
+            CampaignSpec(experiment="sweep2", scale=-1)
+        with pytest.raises(ValueError, match="positive finite"):
+            CampaignSpec.from_dict(dict(SPEC.to_dict(), scale=0))
+
     def test_stored_spec_with_unregistered_engine_is_refused(self):
         stored = dict(SPEC.to_dict(), engine="jit")
         with pytest.raises(ValueError, match="unknown engine 'jit'"):
@@ -620,6 +626,28 @@ class TestStatementBudget:
         meta = backend.load_cell_meta(spec.experiment)
         assert meta == {c.key: {"engine": "fast"} for c in spec.cells()}
         backend.close()
+
+    def test_store_write_costs_at_most_three_statements_per_cell(
+            self, tmp_path, monkeypatch):
+        """A ``sqlite:`` sweep records each cell's value and metadata in
+        one ``save_cells`` transaction (BEGIN IMMEDIATE, upsert,
+        COMMIT); 3 more statements read the cells and update the
+        manifest.  Two writes per cell (value, then metadata) cost 75
+        statements for these 18 cells."""
+        monkeypatch.setattr(
+            "repro.eval.runner.run_cell_detailed",
+            lambda cell, config, machine: (1.0, {"engine": "fast"}))
+        session = Session(scale=0.05, store=f"sqlite:{tmp_path / 'c.db'}")
+        statements: list[str] = []
+        session.store.backend._conn.set_trace_callback(statements.append)
+        session.sweep(2)
+        cells = session.last_grid.executed
+        assert cells == 18
+        assert len(statements) <= 3 * cells + 3, statements
+        meta = session.store.load_cell_meta("sweep2")
+        assert meta == dict.fromkeys(session.last_grid.values,
+                                     {"engine": "fast"})
+        session.close()
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.eval import (
     RunStore,
     Session,
     StoreMismatchError,
+    open_store,
     run_cells,
     run_fingerprint,
 )
@@ -73,7 +74,7 @@ class TestResume:
              for wl in ("LLLL", "HHHH") for s in ("3SSS", "3CCC")]
 
     def test_resume_skips_completed_cells(self, tmp_path, machine):
-        store = RunStore.open_or_create(tmp_path / "run")
+        store = open_store(tmp_path / "run")
         first = run_cells(self.CELLS, TINY, machine, store=store)
         assert first.executed == 4 and first.reused == 0
         second = run_cells(self.CELLS, TINY, machine, store=store)
@@ -83,36 +84,36 @@ class TestResume:
     def test_resume_across_store_instances(self, tmp_path, machine):
         path = tmp_path / "run"
         run_cells(self.CELLS, TINY, machine,
-                  store=RunStore.open_or_create(path))
-        fresh = RunStore.open_or_create(path)
+                  store=open_store(path))
+        fresh = open_store(path)
         again = run_cells(self.CELLS, TINY, machine, store=fresh)
         assert again.executed == 0 and again.reused == 4
 
     def test_partial_resume_runs_only_missing(self, tmp_path, machine):
-        store = RunStore.open_or_create(tmp_path / "run")
+        store = open_store(tmp_path / "run")
         run_cells(self.CELLS[:2], TINY, machine, store=store)
         both = run_cells(self.CELLS, TINY, machine, store=store)
         assert both.executed == 2 and both.reused == 2
 
     def test_fingerprint_mismatch_rejected(self, tmp_path, machine):
         path = tmp_path / "run"
-        RunStore.open_or_create(path, run_fingerprint(TINY, machine))
+        open_store(path, run_fingerprint(TINY, machine))
         other = SimConfig(instr_limit=999, timeslice=333, warmup_instrs=111)
         with pytest.raises(StoreMismatchError):
-            RunStore.open_or_create(path, run_fingerprint(other, machine))
+            open_store(path, run_fingerprint(other, machine))
 
     def test_fingerprint_adopted_by_unstamped_directory(self, tmp_path,
                                                         machine):
         path = tmp_path / "run"
-        RunStore.open_or_create(path)  # API use: no fingerprint recorded
-        stamped = RunStore.open_or_create(path, run_fingerprint(TINY, machine))
+        open_store(path)  # API use: no fingerprint recorded
+        stamped = open_store(path, run_fingerprint(TINY, machine))
         assert stamped.manifest()["fingerprint"]
         other = SimConfig(instr_limit=999, timeslice=333, warmup_instrs=111)
         with pytest.raises(StoreMismatchError):
-            RunStore.open_or_create(path, run_fingerprint(other, machine))
+            open_store(path, run_fingerprint(other, machine))
 
     def test_manifest_records_true_executed_counts(self, tmp_path, machine):
-        store = RunStore.open_or_create(tmp_path / "run")
+        store = open_store(tmp_path / "run")
         session = Session(machine=machine, config=TINY, store=store)
         session.run("fig6")
         recorded = store.manifest()["experiments"]["fig6"]
@@ -122,13 +123,13 @@ class TestResume:
 
 class TestRunStore:
     def test_manifest_created(self, tmp_path, machine):
-        store = RunStore.open_or_create(tmp_path / "r",
+        store = open_store(tmp_path / "r",
                                         run_fingerprint(TINY, machine))
         manifest = store.manifest()
         assert manifest["fingerprint"]["machine"] == machine.describe()
 
     def test_cells_roundtrip(self, tmp_path):
-        store = RunStore.open_or_create(tmp_path / "r")
+        store = open_store(tmp_path / "r")
         store.record_cell("figX", "workload:LLLL:ST:base", 1.25)
         assert RunStore(store.path).load_cells("figX") == {
             "workload:LLLL:ST:base": 1.25}
@@ -138,7 +139,7 @@ class TestRunStore:
         beside their values — resume neither needs nor re-writes it."""
         cfg = SimConfig(instr_limit=300, timeslice=150, warmup_instrs=60,
                         engine="fast")
-        store = RunStore.open_or_create(tmp_path / "r")
+        store = open_store(tmp_path / "r")
         cells = [Cell("figX", "workload", "LLLL", s)
                  for s in ("1S", "3CCC")]
         run_cells(cells, cfg, machine, store=store)
@@ -153,7 +154,7 @@ class TestRunStore:
         assert RunStore(store.path).load_cell_meta("figX") == meta
 
     def test_artifact_roundtrip(self, tmp_path, machine):
-        store = RunStore.open_or_create(tmp_path / "r")
+        store = open_store(tmp_path / "r")
         result = Session(machine=machine).run("fig9")
         store.save_artifact(result)
         loaded = store.load_artifact("fig9")
@@ -241,6 +242,25 @@ class TestCli:
         assert main(["-e", "fig9", "--out", run_dir,
                      "--resume", run_dir]) == 0
         assert (tmp_path / "run" / "fig9.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "-e", "fig4", "--scale", "-1", "--out", "STORE"],
+        ["sweep", "-t", "2", "--scale", "0", "--out", "STORE"],
+        ["search", "-t", "2", "--scale", "nan", "--out", "STORE"],
+        ["matrix", "-e", "sweep2", "--scale", "-1", "--out", "STORE"],
+        ["queue-init", "STORE", "-e", "sweep2", "--scale", "-1"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_scale_is_refused_before_anything_runs(
+            self, tmp_path, capsys, argv):
+        """Regression: --scale -1 simulated a 1-instruction quota and
+        printed an IPC of 6.00 with exit status 0."""
+        store = tmp_path / "store"
+        argv = [str(store) if a == "STORE" else a for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --scale" in captured.err
+        assert not store.exists()
 
     def test_scale_mismatch_on_resume_errors(self, tmp_path, capsys):
         run_dir = str(tmp_path / "run")

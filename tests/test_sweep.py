@@ -13,8 +13,9 @@ from repro.eval import (
     StoreMismatchError,
     enumerate_candidates,
     enumerate_names,
+    Session,
     merge_runs,
-    run_sweep,
+    open_store,
     shard_cells,
     sweep_cells,
 )
@@ -242,8 +243,8 @@ class TestShardCells:
 # ----------------------------------------------------------------------
 class TestMergeRuns:
     def test_union_of_disjoint_cells(self, tmp_path):
-        a = RunStore.open_or_create(tmp_path / "a", {"f": 1})
-        b = RunStore.open_or_create(tmp_path / "b", {"f": 1})
+        a = open_store(tmp_path / "a", {"f": 1})
+        b = open_store(tmp_path / "b", {"f": 1})
         a.record_cell("x", "k1", 1.0)
         b.record_cell("x", "k2", 2.0)
         b.record_cell("y", "k3", 3.0)
@@ -253,24 +254,24 @@ class TestMergeRuns:
         assert dest.fingerprint() == {"f": 1}
 
     def test_conflicting_values_rejected(self, tmp_path):
-        a = RunStore.open_or_create(tmp_path / "a", {"f": 1})
-        b = RunStore.open_or_create(tmp_path / "b", {"f": 1})
+        a = open_store(tmp_path / "a", {"f": 1})
+        b = open_store(tmp_path / "b", {"f": 1})
         a.record_cell("x", "k", 1.0)
         b.record_cell("x", "k", 1.5)
         with pytest.raises(StoreMismatchError, match="conflicting"):
             merge_runs(tmp_path / "m", [a.path, b.path])
 
     def test_agreeing_duplicates_allowed(self, tmp_path):
-        a = RunStore.open_or_create(tmp_path / "a", {"f": 1})
-        b = RunStore.open_or_create(tmp_path / "b", {"f": 1})
+        a = open_store(tmp_path / "a", {"f": 1})
+        b = open_store(tmp_path / "b", {"f": 1})
         a.record_cell("x", "k", 1.0)
         b.record_cell("x", "k", 1.0)
         dest = merge_runs(tmp_path / "m", [a.path, b.path])
         assert dest.load_cells("x") == {"k": 1.0}
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
-        RunStore.open_or_create(tmp_path / "a", {"f": 1})
-        RunStore.open_or_create(tmp_path / "b", {"f": 2})
+        open_store(tmp_path / "a", {"f": 1})
+        open_store(tmp_path / "b", {"f": 2})
         with pytest.raises(StoreMismatchError, match="different"):
             merge_runs(tmp_path / "m", [tmp_path / "a", tmp_path / "b"])
 
@@ -279,22 +280,22 @@ class TestMergeRuns:
             merge_runs(tmp_path / "m", [tmp_path / "missing"])
 
     def test_mixed_stamped_and_unstamped_sources_rejected(self, tmp_path):
-        RunStore.open_or_create(tmp_path / "a", {"f": 1})
-        RunStore.open_or_create(tmp_path / "b")  # no fingerprint
+        open_store(tmp_path / "a", {"f": 1})
+        open_store(tmp_path / "b")  # no fingerprint
         with pytest.raises(StoreMismatchError, match="no config"):
             merge_runs(tmp_path / "m", [tmp_path / "a", tmp_path / "b"])
 
     def test_unstamped_sources_into_stamped_dest_rejected(self, tmp_path):
-        RunStore.open_or_create(tmp_path / "m", {"f": 1})
-        RunStore.open_or_create(tmp_path / "a")
+        open_store(tmp_path / "m", {"f": 1})
+        open_store(tmp_path / "a")
         with pytest.raises(StoreMismatchError, match="cannot be verified"):
             merge_runs(tmp_path / "m", [tmp_path / "a"])
 
     def test_rejected_merge_leaves_destination_untouched(self, tmp_path):
         """Validation is two-phase: a conflict in the last source must
         not leave cells from earlier sources in the destination."""
-        a = RunStore.open_or_create(tmp_path / "a", {"f": 1})
-        b = RunStore.open_or_create(tmp_path / "b", {"f": 1})
+        a = open_store(tmp_path / "a", {"f": 1})
+        b = open_store(tmp_path / "b", {"f": 1})
         a.record_cell("x", "k1", 1.0)
         b.record_cell("x", "k1", 2.0)  # conflicts with a
         b.record_cell("y", "k2", 3.0)
@@ -310,46 +311,50 @@ class TestMergeRuns:
 class TestRunSweep:
     WORKLOADS = ["LLLL", "HHHH"]
 
+    @staticmethod
+    def sweep(threads, workloads, store=None, **kw):
+        """One ``Session.sweep``; returns the artifact and its grid."""
+        session = Session(machine=MACHINE, config=TINY, store=store)
+        return session.sweep(threads, workloads, **kw), session.last_grid
+
     def test_sharded_campaign_equals_single_machine(self, tmp_path):
         """The acceptance path: two shards into separate run dirs,
         merged, resumed — identical artifact, zero new simulations."""
-        full, grid = run_sweep(2, self.WORKLOADS, TINY, MACHINE)
+        full, grid = self.sweep(2, self.WORKLOADS)
         shards = []
         for i in (1, 2):
-            store = RunStore.open_or_create(tmp_path / f"s{i}")
-            _r, g = run_sweep(2, self.WORKLOADS, TINY, MACHINE,
-                              store=store, shard=(i, 2))
-            shards.append((store, g))
+            path = str(tmp_path / f"s{i}")
+            result, g = self.sweep(2, self.WORKLOADS, store=path,
+                                   shard=(i, 2))
+            assert result.meta["cells_in_shard"] == len(g.values)
+            shards.append((path, g))
         assert (shards[0][1].executed + shards[1][1].executed
                 == grid.executed)
-        merged = merge_runs(tmp_path / "m",
-                            [s.path for s, _g in shards])
-        resumed, rgrid = run_sweep(2, self.WORKLOADS, TINY, MACHINE,
-                                   store=merged)
+        merged = merge_runs(tmp_path / "m", [p for p, _g in shards])
+        resumed, rgrid = self.sweep(2, self.WORKLOADS, store=merged)
         assert rgrid.executed == 0
         assert rgrid.reused == grid.executed
         assert resumed.to_json() == full.to_json()
 
     def test_every_member_is_a_design_point(self):
-        result, _ = run_sweep(2, self.WORKLOADS, TINY, MACHINE)
+        result, _ = self.sweep(2, self.WORKLOADS)
         schemes = {row[0] for row in result.rows}
         assert schemes == set(enumerate_names(2))
 
     def test_group_members_share_ipc_but_not_cost(self):
-        result, _ = run_sweep(3, self.WORKLOADS, TINY, MACHINE)
+        result, _ = self.sweep(3, self.WORKLOADS)
         rows = {row[0]: row for row in result.rows}
         assert rows["2CC@3"][1] == rows["C3"][1]          # same IPC
         assert rows["2CC@3"][2] != rows["C3"][2]          # distinct cost
 
     def test_frontier_members_marked_and_non_dominated(self):
-        result, _ = run_sweep(2, self.WORKLOADS, TINY, MACHINE)
+        result, _ = self.sweep(2, self.WORKLOADS)
         frontier = {p["scheme"] for p in result.meta["frontier"]}
         marked = {row[0] for row in result.rows if row[4] == "*"}
         assert marked == frontier
 
     def test_budget_recommendation_within_budget(self):
-        result, _ = run_sweep(3, self.WORKLOADS, TINY, MACHINE,
-                              budget_transistors=5_000)
+        result, _ = self.sweep(3, self.WORKLOADS, budget_transistors=5_000)
         pick = result.meta["recommendation"]
         assert pick is not None
         assert pick["transistors"] <= 5_000
@@ -357,14 +362,13 @@ class TestRunSweep:
                    for p in result.meta["frontier"])
 
     def test_impossible_budget_reports_none(self):
-        result, _ = run_sweep(2, self.WORKLOADS, TINY, MACHINE,
-                              budget_transistors=1)
+        result, _ = self.sweep(2, self.WORKLOADS, budget_transistors=1)
         assert result.meta["recommendation"] is None
         assert any("no scheme qualifies" in n for n in result.notes)
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError, match="unknown workloads"):
-            run_sweep(2, ["NOPE"], TINY, MACHINE)
+            self.sweep(2, ["NOPE"])
 
     def test_default_workloads_are_all_nine(self):
         cells = sweep_cells(2)
