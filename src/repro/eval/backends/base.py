@@ -68,7 +68,9 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file + ``os.replace``.
 
     A crash mid-write leaves the previous file contents (or no file)
-    rather than a truncated one.
+    rather than a truncated one, and a write that fails for any reason
+    (an ``OSError``, a ``text`` that is not a string, a
+    ``KeyboardInterrupt``) removes its temp file before re-raising.
     """
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -76,7 +78,7 @@ def atomic_write_text(path: str, text: str) -> None:
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         try:
             os.unlink(tmp)
         except OSError:

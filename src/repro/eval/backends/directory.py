@@ -1,7 +1,7 @@
 """Directory store backend: the original on-disk run-directory format.
 
-Layout (unchanged from the pre-backend ``RunStore`` — existing run
-directories keep working, and the bytes written are identical)::
+Layout at rest (unchanged from the pre-backend ``RunStore`` — existing
+run directories keep working, and the bytes written are identical)::
 
     run_dir/
         manifest.json        # fingerprint + per-experiment status
@@ -9,10 +9,18 @@ directories keep working, and the bytes written are identical)::
         meta/fig10.json      # cell key -> diagnostic metadata (optional)
         fig10.json           # final ExperimentResult artifact
 
-Each ``cells/`` and ``meta/`` file is the *complete* mapping of its
-experiment, rewritten atomically.  A write therefore re-reads the file
-and merges its new entries in first, so two stores writing one
-directory never erase each other's cells.
+While a grid runs, each finished cell is one appended line of
+``cells/fig10.jsonl``, the experiment's *journal*:
+``[{key: value}, {key: meta}]``, written with one ``write`` call and
+preceded by its newline.  Every manifest write and
+:meth:`DirectoryBackend.close` fold the journals back: the ``cells/``
+and ``meta/`` files are re-read, the journal is merged in, each file is
+rewritten atomically as the *complete* mapping, and the journal is
+deleted.  A finished grid ends with a manifest write, so it leaves
+only the files above.  Reads return the file merged with its journal,
+so two stores writing one directory never erase each other's cells.
+A final line torn by a killed writer is skipped: it is the cell that
+was in flight, and a resume simulates it again.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ class DirectoryBackend:
 
     def save_manifest(self, manifest: dict) -> None:
         self.ensure()
+        self._fold_journals()
         atomic_write_text(os.path.join(self.path, _MANIFEST),
                           json.dumps(manifest, indent=2))
 
@@ -58,6 +67,9 @@ class DirectoryBackend:
     def _meta_path(self, experiment: str) -> str:
         return os.path.join(self.path, "meta", f"{experiment}.json")
 
+    def _journal_path(self, experiment: str) -> str:
+        return os.path.join(self.path, "cells", f"{experiment}.jsonl")
+
     @staticmethod
     def _load_mapping(path: str) -> dict:
         try:
@@ -66,6 +78,28 @@ class DirectoryBackend:
         except (OSError, json.JSONDecodeError):
             return {}
 
+    def _load_journal(self, experiment: str) -> tuple[dict, dict] | None:
+        """The journal's ``(cells, meta)``, later lines winning, or
+        ``None`` when there is no journal.  Undecodable lines (a
+        writer killed mid-append) are skipped."""
+        try:
+            with open(self._journal_path(experiment), "rb") as f:
+                lines = f.read().splitlines()
+        except OSError:
+            return None
+        cells: dict = {}
+        meta: dict = {}
+        for line in lines:
+            if not line:
+                continue
+            try:
+                values, metas = json.loads(line)
+            except ValueError:
+                continue
+            cells.update(values)
+            meta.update(metas)
+        return cells, meta
+
     def _merge_into(self, path: str, entries: dict) -> None:
         """Rewrite one complete-mapping file with ``entries`` merged in."""
         recorded = self._load_mapping(path)
@@ -73,26 +107,65 @@ class DirectoryBackend:
         atomic_write_text(path, json.dumps(recorded, indent=0,
                                            sort_keys=True))
 
+    def _fold_journals(self) -> None:
+        """Merge every experiment's journal into its ``cells/`` and
+        ``meta/`` files, then delete the journal."""
+        try:
+            names = os.listdir(os.path.join(self.path, "cells"))
+        except OSError:
+            return
+        for name in names:
+            if not name.endswith(".jsonl"):
+                continue
+            experiment = name[:-6]
+            journal = self._load_journal(experiment)
+            if journal is None:
+                continue
+            cells, meta = journal
+            self._merge_into(self._cells_path(experiment), cells)
+            if meta:
+                os.makedirs(os.path.join(self.path, "meta"), exist_ok=True)
+                self._merge_into(self._meta_path(experiment), meta)
+            os.unlink(self._journal_path(experiment))
+
     def load_cells(self, experiment: str) -> dict[str, float]:
-        return self._load_mapping(self._cells_path(experiment))
+        cells = self._load_mapping(self._cells_path(experiment))
+        journal = self._load_journal(experiment)
+        if journal is not None:
+            cells.update(journal[0])
+        return cells
 
     def save_cells(self, experiment: str, cells: dict[str, float],
                    meta: dict[str, dict] | None = None) -> None:
-        self.ensure()
-        self._merge_into(self._cells_path(experiment), cells)
-        if meta:
-            os.makedirs(os.path.join(self.path, "meta"), exist_ok=True)
-            self._merge_into(self._meta_path(experiment), meta)
+        # the newline leads, so a line torn by a killed writer ends
+        # where the next append starts instead of swallowing it
+        line = ("\n" + json.dumps([cells, meta or {}])).encode()
+        path = self._journal_path(experiment)
+        flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+        try:
+            fd = os.open(path, flags, 0o666)
+        except FileNotFoundError:
+            self.ensure()
+            fd = os.open(path, flags, 0o666)
+        try:
+            os.write(fd, line)
+        finally:
+            os.close(fd)
 
     def experiments_with_cells(self) -> list[str]:
         try:
             names = os.listdir(os.path.join(self.path, "cells"))
         except OSError:
             return []
-        return sorted(n[:-5] for n in names if n.endswith(".json"))
+        return sorted({n.rsplit(".", 1)[0] for n in names
+                       if n.endswith((".json", ".jsonl"))})
 
     def load_cell_meta(self, experiment: str) -> dict[str, dict]:
-        return self._load_mapping(self._meta_path(experiment))
+        meta = self._load_mapping(self._meta_path(experiment))
+        journal = self._load_journal(experiment)
+        if journal is not None:
+            meta.update(journal[1])
+        return meta
 
     # -- artifacts -------------------------------------------------------
     def save_artifact(self, experiment: str, text: str) -> str:
@@ -110,4 +183,4 @@ class DirectoryBackend:
 
     # -- misc ------------------------------------------------------------
     def close(self) -> None:
-        pass
+        self._fold_journals()

@@ -56,7 +56,9 @@ per-experiment JSON artifacts.  ``--store`` accepts a backend URL —
 ``--out``/``--resume`` take bare directory paths or the same URLs.
 Giving several of them with different locations is an error.  Every
 simulating subcommand drives one :class:`repro.eval.api.Session`
-underneath.
+underneath and closes it on the way out, so a ``dir:`` store's cell
+journals are folded and a SQLite connection is released even when the
+verb fails.
 """
 
 from __future__ import annotations
@@ -228,33 +230,32 @@ def _cmd_run(argv) -> int:
 
     names = sorted(EXPERIMENT_DEFS) if args.experiment == "all" \
         else [args.experiment]
-    session = _open_session(args, machine=paper_machine(),
-                            config=_base_config(args))
-
-    # the session caches fig10's result, so fig11/fig12 (and `-e all`)
-    # reuse its simulations automatically.
-    failures = 0
-    for name in names:
-        t0 = time.time()
-        try:
-            result = session.run(name)
-        except Exception as exc:  # noqa: BLE001 - CLI boundary
-            print(f"error: experiment {name} failed: "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            failures += 1
-            continue
-        grid = session.last_grid
-        print(result.render())
-        status = f"  [{time.time() - t0:.1f}s]"
-        if grid is not None:
-            status += (f"  cells: {grid.executed} simulated, "
-                       f"{grid.reused} reused")
-        print(status)
-        print()
-        if session.store is not None:
-            path = session.store.save_artifact(result)
-            print(f"  saved: {path}")
-    return 1 if failures else 0
+    with _open_session(args, machine=paper_machine(),
+                       config=_base_config(args)) as session:
+        # the session caches fig10's result, so fig11/fig12 (and `-e all`)
+        # reuse its simulations automatically.
+        failures = 0
+        for name in names:
+            t0 = time.time()
+            try:
+                result = session.run(name)
+            except Exception as exc:  # noqa: BLE001 - CLI boundary
+                print(f"error: experiment {name} failed: "
+                      f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                failures += 1
+                continue
+            grid = session.last_grid
+            print(result.render())
+            status = f"  [{time.time() - t0:.1f}s]"
+            if grid is not None:
+                status += (f"  cells: {grid.executed} simulated, "
+                           f"{grid.reused} reused")
+            print(status)
+            print()
+            if session.store is not None:
+                path = session.store.save_artifact(result)
+                print(f"  saved: {path}")
+        return 1 if failures else 0
 
 
 # ----------------------------------------------------------------------
@@ -299,34 +300,35 @@ def _cmd_sweep(argv) -> int:
 
     workloads = _parse_workloads(args.workloads)
     shard = _parse_shard(args.shard) if args.shard else None
-    session = _open_session(args, machine=machine, config=_base_config(args))
-    if shard is not None and session.store is None:
-        raise _CliError(
-            "--shard requires a run directory or store "
-            "(--out/--resume/--store): a shard's cell values are its "
-            "only output and exist to be merged later; without a store "
-            "they would be discarded"
-        )
+    with _open_session(args, machine=machine,
+                       config=_base_config(args)) as session:
+        if shard is not None and session.store is None:
+            raise _CliError(
+                "--shard requires a run directory or store "
+                "(--out/--resume/--store): a shard's cell values are its "
+                "only output and exist to be merged later; without a store "
+                "they would be discarded"
+            )
 
-    t0 = time.time()
-    try:
-        result = session.sweep(
-            args.threads, workloads, shard=shard,
-            budget_transistors=args.budget_transistors,
-            budget_gate_delays=args.budget_gate_delays,
-            cost_params=CostParams.fit() if args.calibrated else None)
-    except (KeyError, ValueError) as exc:
-        # e.g. unknown/duplicate --workloads, validated by SweepPlan
-        raise _CliError(exc.args[0] if exc.args else str(exc)) from None
-    grid = session.last_grid
-    print(result.render())
-    print(f"  [{time.time() - t0:.1f}s]  cells: {grid.executed} simulated, "
-          f"{grid.reused} reused")
-    print()
-    if session.store is not None and shard is None:
-        path = session.store.save_artifact(result)
-        print(f"  saved: {path}")
-    return 0
+        t0 = time.time()
+        try:
+            result = session.sweep(
+                args.threads, workloads, shard=shard,
+                budget_transistors=args.budget_transistors,
+                budget_gate_delays=args.budget_gate_delays,
+                cost_params=CostParams.fit() if args.calibrated else None)
+        except (KeyError, ValueError) as exc:
+            # e.g. unknown/duplicate --workloads, validated by SweepPlan
+            raise _CliError(exc.args[0] if exc.args else str(exc)) from None
+        grid = session.last_grid
+        print(result.render())
+        print(f"  [{time.time() - t0:.1f}s]  cells: {grid.executed} "
+              f"simulated, {grid.reused} reused")
+        print()
+        if session.store is not None and shard is None:
+            path = session.store.save_artifact(result)
+            print(f"  saved: {path}")
+        return 0
 
 
 # ----------------------------------------------------------------------
@@ -392,45 +394,45 @@ def _cmd_search(argv) -> int:
         raise _CliError(f"bad --rungs: {exc}") from None
     workloads = _parse_workloads(args.workloads)
     base = _base_config(args)
-    session = _open_session(args, machine=paper_machine(), config=base,
-                            configs=rung_configs(base, rungs))
+    with _open_session(args, machine=paper_machine(), config=base,
+                       configs=rung_configs(base, rungs)) as session:
+        queue_spec = None
+        store = session.store
+        if store is not None and store.url.startswith("queue:"):
+            # fleet mode: the spec lets `repro-eval worker --follow`
+            # processes rebuild every rung config and drain alongside us.
+            queue_spec = CampaignSpec(
+                experiment=sweep_experiment_id(args.threads),
+                scale=args.scale, engine=args.engine,
+                workloads=tuple(workloads) if workloads else None,
+                kind="search",
+                configs=tuple((r.tag, r.scale) for r in rungs if r.tag))
 
-    queue_spec = None
-    if session.store is not None and session.store.url.startswith("queue:"):
-        # fleet mode: the spec lets `repro-eval worker --follow`
-        # processes rebuild every rung config and drain alongside us.
-        queue_spec = CampaignSpec(
-            experiment=sweep_experiment_id(args.threads),
-            scale=args.scale, engine=args.engine,
-            workloads=tuple(workloads) if workloads else None,
-            kind="search",
-            configs=tuple((r.tag, r.scale) for r in rungs if r.tag))
-
-    t0 = time.time()
-    try:
-        result, report = run_search(
-            session, args.threads, workloads,
-            rungs=rungs, budget=args.budget, eps=args.eps,
-            drift=args.drift, seed=args.seed, evolve=args.evolve,
-            population=args.population, generations=args.generations,
-            budget_transistors=args.budget_transistors,
-            budget_gate_delays=args.budget_gate_delays,
-            cost_params=CostParams.fit() if args.calibrated else None,
-            queue_spec=queue_spec, progress=print)
-    except (KeyError, ValueError) as exc:
-        raise _CliError(exc.args[0] if exc.args else str(exc)) from None
-    print(result.render())
-    budget_txt = (f"{report.budget_units:.1f}"
-                  if report.budget_units is not None else "unlimited")
-    print(f"  [{time.time() - t0:.1f}s]  spent {report.spent:.2f} of "
-          f"{budget_txt} budget units; {len(report.evaluated_full)} of "
-          f"{report.exhaustive_units} semantics at full fidelity "
-          f"({report.full_fraction:.0%})")
-    print()
-    if session.store is not None:
-        path = session.store.save_artifact(result)
-        print(f"  saved: {path}")
-    return 0
+        t0 = time.time()
+        try:
+            result, report = run_search(
+                session, args.threads, workloads,
+                rungs=rungs, budget=args.budget, eps=args.eps,
+                drift=args.drift, seed=args.seed, evolve=args.evolve,
+                population=args.population, generations=args.generations,
+                budget_transistors=args.budget_transistors,
+                budget_gate_delays=args.budget_gate_delays,
+                cost_params=CostParams.fit() if args.calibrated else None,
+                queue_spec=queue_spec, progress=print)
+        except (KeyError, ValueError) as exc:
+            raise _CliError(exc.args[0] if exc.args else str(exc)) from None
+        print(result.render())
+        budget_txt = (f"{report.budget_units:.1f}"
+                      if report.budget_units is not None else "unlimited")
+        print(f"  [{time.time() - t0:.1f}s]  spent {report.spent:.2f} of "
+              f"{budget_txt} budget units; {len(report.evaluated_full)} of "
+              f"{report.exhaustive_units} semantics at full fidelity "
+              f"({report.full_fraction:.0%})")
+        print()
+        if session.store is not None:
+            path = session.store.save_artifact(result)
+            print(f"  saved: {path}")
+        return 0
 
 
 # ----------------------------------------------------------------------
@@ -477,9 +479,6 @@ def _cmd_matrix(argv) -> int:
     except ValueError as exc:
         raise _CliError(str(exc)) from None
 
-    session = _open_session(args, machine=paper_machine(),
-                            machines=machines, config=_base_config(args))
-
     is_sweep = sweep_threads(args.experiment) is not None
     kw = {}
     if args.workloads:
@@ -495,32 +494,34 @@ def _cmd_matrix(argv) -> int:
             or args.budget_gate_delays is not None:
         raise _CliError("--budget-* only applies to sweep experiments")
 
-    t0 = time.time()
-    try:
-        matrix = session.run_matrix(args.experiment, machines=tags,
-                                    save=session.store is not None, **kw)
-    except (KeyError, ValueError) as exc:
-        raise _CliError(exc.args[0] if exc.args else str(exc)) from None
-    if all("avg_ipc" in r.meta for r in matrix.results.values()):
-        report = scaling_report(
-            matrix, budget_transistors=args.budget_transistors,
-            budget_gate_delays=args.budget_gate_delays)
-        print(report.render())
-        print()
-    else:
-        # no per-scheme IPC to join (e.g. table1): print the
-        # per-variant artifacts instead of a scaling report
-        report = None
-        for result in matrix.results.values():
-            print(result.render())
+    with _open_session(args, machine=paper_machine(), machines=machines,
+                       config=_base_config(args)) as session:
+        t0 = time.time()
+        try:
+            matrix = session.run_matrix(args.experiment, machines=tags,
+                                        save=session.store is not None, **kw)
+        except (KeyError, ValueError) as exc:
+            raise _CliError(exc.args[0] if exc.args else str(exc)) from None
+        if all("avg_ipc" in r.meta for r in matrix.results.values()):
+            report = scaling_report(
+                matrix, budget_transistors=args.budget_transistors,
+                budget_gate_delays=args.budget_gate_delays)
+            print(report.render())
             print()
-    print(f"  [{time.time() - t0:.1f}s]  {len(matrix.results)} variants "
-          f"of {matrix.experiment}; cells: {matrix.executed} simulated, "
-          f"{matrix.reused} reused")
-    if session.store is not None and report is not None:
-        path = session.store.save_artifact(report)
-        print(f"  saved: {path}")
-    return 0
+        else:
+            # no per-scheme IPC to join (e.g. table1): print the
+            # per-variant artifacts instead of a scaling report
+            report = None
+            for result in matrix.results.values():
+                print(result.render())
+                print()
+        print(f"  [{time.time() - t0:.1f}s]  {len(matrix.results)} variants "
+              f"of {matrix.experiment}; cells: {matrix.executed} simulated, "
+              f"{matrix.reused} reused")
+        if session.store is not None and report is not None:
+            path = session.store.save_artifact(report)
+            print(f"  saved: {path}")
+        return 0
 
 
 # ----------------------------------------------------------------------
@@ -541,8 +542,9 @@ def _cmd_merge(argv) -> int:
         dest = merge_runs(args.dest, args.sources)
     except (StoreMismatchError, ValueError) as exc:
         raise _CliError(str(exc)) from None
-    for experiment in dest.experiments_with_cells():
-        print(f"{experiment}: {len(dest.load_cells(experiment))} cells")
+    with dest:
+        for experiment in dest.experiments_with_cells():
+            print(f"{experiment}: {len(dest.load_cells(experiment))} cells")
     print(f"merged {len(args.sources)} run stores into {dest.url}")
     return 0
 

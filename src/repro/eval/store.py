@@ -13,7 +13,12 @@ guards, resume, merging — and delegates persistence to a pluggable
       run_dir/
           manifest.json        # config fingerprint + per-experiment status
           cells/fig10.json     # cell key -> measured value
+          meta/fig10.json      # cell key -> diagnostic metadata
           fig10.json           # final ExperimentResult artifact
+
+  A grid in progress appends its finished cells to
+  ``cells/fig10.jsonl``; the grid's closing manifest write (and
+  :meth:`RunStore.close`) folds that journal into the two files above.
 
 * ``sqlite:PATH.db`` — the same state in a single SQLite database file.
 

@@ -32,6 +32,7 @@ from repro.eval.backends import (
     SQLiteBackend,
     open_backend,
 )
+from repro.eval.backends.base import atomic_write_text
 from repro.sim import SimConfig
 
 TINY = SimConfig(instr_limit=800, timeslice=400, warmup_instrs=200)
@@ -193,6 +194,139 @@ class TestBackendParity:
         b.record_cell("x", "k", 2.0)
         with pytest.raises(StoreMismatchError, match="conflicting"):
             merge_runs(tmp_path / "m", [a, b])
+
+
+class _Killed(Exception):
+    """Stands in for a kill: raised mid-grid, the session never closed."""
+
+
+class TestDirectoryJournal:
+    """A ``dir:`` store appends each finished cell to
+    ``cells/<exp>.jsonl`` and folds the journal into the complete
+    ``cells/``/``meta/`` files on every manifest write and on close."""
+
+    def test_torn_final_line_is_skipped(self, tmp_path):
+        backend = DirectoryBackend(str(tmp_path / "run"))
+        backend.save_cells("x", {"k1": 1.0}, {"k1": {"engine": "fast"}})
+        journal = tmp_path / "run" / "cells" / "x.jsonl"
+        with open(journal, "ab") as f:  # a writer killed mid-append
+            f.write(b'\n[{"k2": 2.5}, {"k2": {"eng')
+        fresh = DirectoryBackend(str(tmp_path / "run"))
+        assert fresh.experiments_with_cells() == ["x"]
+        assert fresh.load_cells("x") == {"k1": 1.0}
+        assert fresh.load_cell_meta("x") == {"k1": {"engine": "fast"}}
+        fresh.close()  # the fold drops the in-flight cell with its journal
+        assert not journal.exists()
+        assert fresh.load_cells("x") == {"k1": 1.0}
+        assert fresh.load_cell_meta("x") == {"k1": {"engine": "fast"}}
+
+    def test_journal_only_experiment_is_listed_and_merged(self, tmp_path):
+        src = open_store(tmp_path / "src", {"f": 1})
+        src.record_cell("x", "k1", 1.0, {"engine": "fast"})
+        src.record_cell("x", "k2", 2.0)
+        # killed here: no manifest write and no close, so no fold yet
+        cells_dir = tmp_path / "src" / "cells"
+        assert [p.name for p in cells_dir.iterdir()] == ["x.jsonl"]
+        assert RunStore(tmp_path / "src").experiments_with_cells() == ["x"]
+        for dest in (f"dir:{tmp_path / 'd'}", f"sqlite:{tmp_path / 'd.db'}"):
+            with merge_runs(dest, [tmp_path / "src"]):
+                pass
+            assert RunStore(dest).experiments_with_cells() == ["x"]
+            assert RunStore(dest).load_cells("x") == {"k1": 1.0, "k2": 2.0}
+        # the merge folded its destination into today's at-rest bytes
+        assert sorted(p.name for p in (tmp_path / "d" / "cells").iterdir()) \
+            == ["x.json"]
+        assert (tmp_path / "d" / "cells" / "x.json").read_text() == \
+            json.dumps({"k1": 1.0, "k2": 2.0}, indent=0, sort_keys=True)
+        # ... and only read its source
+        assert [p.name for p in cells_dir.iterdir()] == ["x.jsonl"]
+
+    def test_resume_after_kill_matches_uninterrupted_run(self, tmp_path,
+                                                         monkeypatch):
+        from repro.eval import runner
+
+        ref = tmp_path / "ref"
+        with Session(config=TINY, store=str(ref)) as session:
+            session.run("fig4")
+        real = runner.run_cell_detailed
+        finished = []
+
+        def dying(cell, *args, **kw):
+            if len(finished) == 10:
+                raise _Killed
+            finished.append(cell.key)
+            return real(cell, *args, **kw)
+
+        monkeypatch.setattr(runner, "run_cell_detailed", dying)
+        killed = tmp_path / "killed"
+        with pytest.raises(_Killed):
+            Session(config=TINY, store=str(killed)).run("fig4")
+        journal = killed / "cells" / "fig4.jsonl"
+        with open(journal, "ab") as f:  # the in-flight cell, torn
+            f.write(b'\n[{"workload:LLLL:ST:base": 1.')
+        assert not (killed / "cells" / "fig4.json").exists()
+
+        monkeypatch.setattr(runner, "run_cell_detailed", real)
+        resumed = Session(config=TINY, store=str(killed))
+        resumed.run("fig4")
+        assert resumed.last_grid.executed == 27 - 10
+        assert resumed.last_grid.reused == 10
+        # the grid's closing manifest write left today's files, no journal
+        for sub in ("cells", "meta"):
+            assert ((killed / sub / "fig4.json").read_bytes()
+                    == (ref / sub / "fig4.json").read_bytes())
+        assert not list((killed / "cells").glob("*.jsonl"))
+        resumed.close()
+
+    def test_write_cost_per_cell_is_constant(self, tmp_path, monkeypatch):
+        """Doubling an experiment's cells doubles its journal and leaves
+        the number of ``cells/``/``meta/`` rewrites unchanged."""
+        from repro.eval.backends import directory
+
+        real = directory.atomic_write_text
+        rewrites = []
+
+        def counting(path, text):
+            if os.path.basename(os.path.dirname(path)) in ("cells", "meta"):
+                rewrites.append(path)
+            real(path, text)
+
+        monkeypatch.setattr(directory, "atomic_write_text", counting)
+        journal_bytes, rewrite_counts = {}, {}
+        for n in (20, 40):
+            store = open_store(tmp_path / f"n{n}")
+            rewrites.clear()
+            for i in range(n):
+                store.record_cell("fig10", f"workload:LLLL:c{i:03d}:base",
+                                  1.5, {"engine": "fast"})
+            journal_bytes[n] = os.path.getsize(
+                os.path.join(store.path, "cells", "fig10.jsonl"))
+            store.update_manifest("fig10", cells=n)  # the grid's end
+            rewrite_counts[n] = len(rewrites)
+        assert rewrite_counts[20] == rewrite_counts[40] == 2
+        assert journal_bytes[40] == 2 * journal_bytes[20]
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            atomic_write_text(str(tmp_path / "f.json"), 123)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path,
+                                                  monkeypatch):
+        path = tmp_path / "f.json"
+        atomic_write_text(str(path), "old")
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            atomic_write_text(str(path), "new")
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+        assert path.read_text() == "old"
 
 
 class TestUrls:

@@ -262,6 +262,36 @@ class TestCli:
         assert "error: --scale" in captured.err
         assert not store.exists()
 
+    @pytest.mark.parametrize("argv, status", [
+        (["run", "-e", "fig9", "--out", "STORE"], 0),
+        (["sweep", "-t", "2", "--workloads", "LLLL", "--scale", "0.04",
+          "--out", "STORE"], 0),
+        # refused after the Session is open: --shard needs a store
+        (["sweep", "-t", "2", "--shard", "1/2", "--scale", "0.04"], 1),
+        (["search", "-t", "2", "--workloads", "LLLL", "--scale", "0.04",
+          "--out", "STORE"], 0),
+        (["matrix", "-e", "fig9", "--machines", "2c4w,4c4w",
+          "--store", "sqlite:STORE"], 0),
+    ], ids=["run", "sweep", "sweep-refused", "search", "matrix"])
+    def test_every_verb_closes_its_session_once(
+            self, tmp_path, monkeypatch, capsys, argv, status):
+        """Each simulating verb closes its Session exactly once, on
+        success and on a refused invocation alike, so a directory
+        store's journals are folded and SQLite connections released."""
+        closed = []
+        real = Session.close
+
+        def counting(session):
+            closed.append(session)
+            real(session)
+
+        monkeypatch.setattr(Session, "close", counting)
+        store = str(tmp_path / "store")
+        argv = [a.replace("STORE", store) for a in argv]
+        assert main(argv) == status
+        assert len(closed) == 1
+        assert not list((tmp_path / "store" / "cells").glob("*.jsonl"))
+
     def test_scale_mismatch_on_resume_errors(self, tmp_path, capsys):
         run_dir = str(tmp_path / "run")
         assert main(["-e", "fig9", "--out", run_dir, "--scale", "0.05"]) == 0
