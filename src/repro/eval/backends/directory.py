@@ -16,9 +16,11 @@ preceded by its newline.  Every manifest write and
 :meth:`DirectoryBackend.close` fold the journals back: the ``cells/``
 and ``meta/`` files are re-read, the journal is merged in, each file is
 rewritten atomically as the *complete* mapping, and the journal is
-deleted.  A finished grid ends with a manifest write, so it leaves
-only the files above.  Reads return the file merged with its journal,
-so two stores writing one directory never erase each other's cells.
+deleted.  A grid ends with a manifest update, written whenever it
+changes the manifest, and :meth:`DirectoryBackend.close` folds what is
+left, so a closed store holds only the files above.  Reads return the
+file merged with its journal, so two stores writing one directory never
+erase each other's cells.
 A final line torn by a killed writer is skipped: it is the cell that
 was in flight, and a resume simulates it again.
 """

@@ -67,6 +67,7 @@ from repro.eval.runner import (
 )
 from repro.eval.store import RunStore, open_store, run_fingerprint
 from repro.eval.sweep import sweep_cells, sweep_threads
+from repro.trace.stream import release_walks
 
 __all__ = [
     "CampaignSpec",
@@ -494,6 +495,8 @@ def run_worker(store, *, worker_id: str | None = None,
                     for cl, (_key, value, meta) in zip(group, triples):
                         settle_value(cl, value, meta)
         backend.beat(report.worker)
+    # the shared instruction-stream walks served this drain only
+    release_walks()
     return report
 
 

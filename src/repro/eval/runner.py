@@ -39,6 +39,7 @@ from dataclasses import dataclass, field, replace
 from repro.arch import paper_machine
 from repro.kernels import by_name, compile_spec
 from repro.sim import run_workload
+from repro.trace.stream import release_walks
 from repro.workloads import workload_specs
 
 __all__ = ["Cell", "GridResult", "check_tag", "run_cell",
@@ -356,6 +357,8 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
                     key, value, meta = fut.result()
                     record(key, value, meta)
 
+    # the shared instruction-stream walks served this grid only
+    release_walks()
     if store is not None:
         store.update_manifest(experiment, cells=len(cells),
                               executed=result.executed,

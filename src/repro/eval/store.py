@@ -19,6 +19,8 @@ guards, resume, merging — and delegates persistence to a pluggable
   A grid in progress appends its finished cells to
   ``cells/fig10.jsonl``; the grid's closing manifest write (and
   :meth:`RunStore.close`) folds that journal into the two files above.
+  A manifest update that changes nothing is not written, so a resume
+  that reuses every cell leaves any leftover journal to ``close()``.
 
 * ``sqlite:PATH.db`` — the same state in a single SQLite database file.
 
@@ -161,7 +163,19 @@ class RunStore:
         self.backend.save_manifest(manifest)
 
     def update_manifest(self, experiment: str, **fields) -> None:
-        manifest = self.manifest() or {"fingerprint": {}, "experiments": {}}
+        """Merge ``fields`` into one experiment's manifest entry.
+
+        A merge that changes nothing writes nothing (a resume that
+        reuses every cell records the counts it recorded last time).
+        """
+        manifest = self.manifest()
+        if manifest is None:
+            manifest = {"fingerprint": {}, "experiments": {}}
+        else:
+            entry = manifest.get("experiments", {}).get(experiment)
+            if entry is not None and all(
+                    k in entry and entry[k] == v for k, v in fields.items()):
+                return
         manifest.setdefault("experiments", {}).setdefault(
             experiment, {}).update(fields)
         self._write_manifest(manifest)

@@ -730,9 +730,10 @@ class _LockstepSim:
     def _ingest(self, sid: int) -> None:
         st = self.streams[sid]
         buf = st.materialize(CHUNK)
+        start = st._pos
         fill = int(self.filled[sid])
         room = self.H - fill
-        take = min(len(buf), room)
+        take = min(len(buf) - start, room)
         if take <= 0:
             raise RuntimeError(
                 "batch record buffer exhausted: a thread fetched past the "
@@ -761,7 +762,7 @@ class _LockstepSim:
         r_taken = self.r_taken
         r_na = self.r_na
         NL = self.NL
-        for mop, taken, addrs, _ in buf[:take]:
+        for mop, taken, addrs, _ in buf[start:start + take]:
             ent = mc.get(id(mop))
             if ent is None:
                 limbs = tuple((mop.packed >> (64 * li)) & m64
@@ -793,7 +794,7 @@ class _LockstepSim:
             g += 1
         self.filled[sid] = fill + take
         # mark converted records consumed; leftovers stay buffered
-        st._pos = take
+        st._pos = start + take
 
     # ------------------------------------------------------------ merge
     def _merge_multi(self, pid, recs, ready, rb):

@@ -19,7 +19,7 @@ lives in :mod:`repro.sim.batch`):
 
   1. *slot-indexed state*: for the length of one ``run`` call each
      resident context's pending record, ``stall_until``, counters and
-     stream buffer position live in local lists indexed by context
+     stream cursor live in local lists indexed by context
      slot, and the cache counters and merged-width histogram in locals;
      everything is flushed back to the threads, caches and stats on
      exit;
@@ -32,10 +32,13 @@ lives in :mod:`repro.sim.batch`):
   3. *idle-cycle skipping*: when every resident thread is stalled the
      engine jumps straight to the earliest ``stall_until`` and accounts
      the skipped cycles as vertical waste in one step;
-  4. *materialized instruction streams*:
-     :meth:`~repro.trace.stream.InstructionStream.materialize` pre-builds
-     batches of ``(mop, taken, addrs, branch)`` record tuples so the hot
-     loop indexes a list instead of resuming a generator per fetch;
+  4. *materialized instruction streams*: each stream is a cursor over
+     a record list of ``(mop, taken, addrs, branch)`` tuples that the
+     hot loop indexes instead of resuming a generator per fetch; a
+     refill (:meth:`~repro.trace.stream.InstructionStream.materialize`)
+     extends the list by at least ``STREAM_BATCH`` records.  The list
+     is the walk shared by every stream of the same program, thread and
+     seed, so the cells of a grid generate each thread's records once;
   5. *compiled scheme plans*: :meth:`~repro.merge.scheme.Scheme.compile`
      lowers the merge AST once into a generated straight-line selection
      function over the ready ports' packed summaries, with a
@@ -207,7 +210,7 @@ class FastEngine(Engine):
     Safe by construction, mechanism by mechanism:
 
     * *slot-indexed state*: each resident context's pending record,
-      ``stall_until``, counters and stream buffer position live in local
+      ``stall_until``, counters and stream cursor live in local
       lists indexed by context slot, and cache hit/miss counters and
       statistics in locals; all of it is flushed to the
       :class:`~repro.sim.thread.ThreadState` objects, caches and
@@ -254,7 +257,7 @@ class FastEngine(Engine):
 
     name = "fast"
 
-    #: fetch records materialized per stream refill.
+    #: least fetch records a stream refill adds to its record list.
     STREAM_BATCH = 512
 
     def run(self, core, max_cycles: int, instr_limit: int | None = None) -> str:
@@ -342,7 +345,8 @@ class FastEngine(Engine):
             others[c] = live[:i] + live[i + 1:]
 
         def refill(c: int, pos: int) -> list:
-            # slot c consumed its whole buffer (pos == len)
+            # slot c read every record its list holds (pos == len); the
+            # refilled list holds the next fetch at the stream's _pos
             stream = streams[c]
             stream._pos = pos
             buf = bufs[c] = stream.materialize(batch)
@@ -376,7 +380,7 @@ class FastEngine(Engine):
                     buf = bufs[c]
                     if pos >= len(buf):
                         buf = refill(c, pos)
-                        pos = 0
+                        pos = streams[c]._pos
                     rec = pend[c] = buf[pos]
                     poss[c] = pos + 1
                     if i_shift is not None:
@@ -455,7 +459,7 @@ class FastEngine(Engine):
                         if pending is None:
                             if pos >= len(buf):
                                 buf = refill(c, pos)
-                                pos = 0
+                                pos = streams[c]._pos
                             pending = buf[pos]
                             pos += 1
                             if i_shift is not None:

@@ -278,6 +278,43 @@ class TestDirectoryJournal:
         assert not list((killed / "cells").glob("*.jsonl"))
         resumed.close()
 
+    def test_second_resume_leaves_the_manifest_alone(self, tmp_path):
+        run = tmp_path / "run"
+        for _ in range(2):  # the campaign, then a resume reusing it all
+            with Session(config=TINY, store=str(run)) as session:
+                session.run("fig4")
+        manifest = run / "manifest.json"
+        before, inode = manifest.read_bytes(), manifest.stat().st_ino
+        with Session(config=TINY, store=str(run)) as session:
+            session.run("fig4")
+            assert session.last_grid.executed == 0
+        assert manifest.read_bytes() == before
+        assert manifest.stat().st_ino == inode
+
+    def test_zero_cell_resume_folds_a_leftover_journal_on_close(
+            self, tmp_path):
+        run = tmp_path / "run"
+        for _ in range(2):
+            with Session(config=TINY, store=str(run)) as session:
+                session.run("fig4")
+        at_rest = {sub: (run / sub / "fig4.json").read_bytes()
+                   for sub in ("cells", "meta")}
+        key = "workload:LLLL:ST:base"
+        value = json.loads(at_rest["cells"])[key]
+        meta = json.loads(at_rest["meta"])[key]
+        journal = run / "cells" / "fig4.jsonl"
+        with open(journal, "ab") as f:  # a writer killed before its fold
+            f.write(("\n" + json.dumps([{key: value}, {key: meta}]))
+                    .encode())
+        session = Session(config=TINY, store=str(run))
+        session.run("fig4")
+        assert session.last_grid.executed == 0
+        assert journal.exists()  # the unchanged manifest was not written
+        session.close()
+        assert not journal.exists()
+        for sub, data in at_rest.items():
+            assert (run / sub / "fig4.json").read_bytes() == data
+
     def test_write_cost_per_cell_is_constant(self, tmp_path, monkeypatch):
         """Doubling an experiment's cells doubles its journal and leaves
         the number of ``cells/``/``meta/`` rewrites unchanged."""

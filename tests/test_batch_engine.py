@@ -100,6 +100,22 @@ class TestGroupDifferential:
         assert native == numpy_only
         assert native[0] == _solo(programs, "1S")
 
+    def test_small_refills_read_on_from_the_cursor(self, monkeypatch):
+        """Each refill of a stream converts the records after its
+        cursor: tiny chunks make every stream refill many times from
+        the walk it shares with the group's other cells."""
+        from repro.sim import batch
+        from repro.trace.stream import release_walks
+
+        machine = paper_machine()
+        programs = workload_programs("LLMH", machine)
+        tasks = [(programs, s) for s in ("1S", "2SC3", "3SSS")]
+        monkeypatch.setattr(batch, "CHUNK", 50)
+        release_walks()
+        results = run_workloads_batch(tasks, DIFF_CONFIG)
+        for (progs, scheme), res in zip(tasks, results):
+            assert _fingerprint(res) == _solo(progs, scheme)
+
     def test_unbatchable_task_yields_none_without_harm(self):
         machine = paper_machine()
         programs = workload_programs("LLLL", machine)

@@ -69,6 +69,52 @@ class TestParallelEqualsSerial:
         assert serial.meta == parallel.meta
 
 
+class TestSharedWalks:
+    """Cells of one grid read each thread's instruction records from one
+    shared walk per ``(program, thread, seed)``; that sharing must never
+    reach a result."""
+
+    CELLS = [Cell("fig4", "workload", wl, s)
+             for wl in ("LLLL", "HHHH") for s in ("ST", "1S", "3SSS")]
+
+    def test_one_walk_per_key(self, machine, monkeypatch):
+        from repro.eval.runner import cell_programs
+        from repro.trace import stream
+
+        real = stream._Walk.start
+        built = []
+
+        def counting(cls, program, thread_id, seed):
+            built.append((id(program), thread_id, seed))
+            return real(program, thread_id, seed)
+
+        monkeypatch.setattr(stream._Walk, "start", classmethod(counting))
+        stream.release_walks()
+        run_cells(self.CELLS, TINY, machine)
+        keys = {(id(p), i, TINY.seed + 17 * i)
+                for cell in self.CELLS
+                for i, p in enumerate(cell_programs(cell, machine))}
+        assert sorted(built) == sorted(keys)
+        assert not stream._WALKS  # the grid released its walks
+
+    def test_order_jobs_and_release_do_not_change_values(self, machine,
+                                                         monkeypatch):
+        from repro.eval import runner
+        from repro.trace import stream
+
+        ref = run_cells(self.CELLS, TINY, machine).values
+        assert run_cells(self.CELLS[::-1], TINY, machine).values == ref
+        assert run_cells(self.CELLS, TINY, machine, jobs=2).values == ref
+        real = runner.run_cell_detailed
+
+        def releasing(*args, **kw):
+            stream.release_walks()
+            return real(*args, **kw)
+
+        monkeypatch.setattr(runner, "run_cell_detailed", releasing)
+        assert run_cells(self.CELLS, TINY, machine).values == ref
+
+
 class TestResume:
     CELLS = [Cell("fig6", "workload", wl, s)
              for wl in ("LLLL", "HHHH") for s in ("3SSS", "3CCC")]

@@ -6,6 +6,7 @@ from repro.arch import paper_machine
 from repro.compiler import compile_kernel
 from repro.ir import KernelBuilder
 from repro.trace import InstructionStream
+from repro.trace import stream as stream_mod
 from repro.trace.addrgen import make_generator
 from repro.ir.patterns import AccessPattern
 import random
@@ -219,3 +220,124 @@ class TestMaterialize:
         recs = [next(s) for _ in range(100)]
         no_mem = [r for r in recs if not r[2] and r[3] is None]
         assert no_mem and len({id(r) for r in no_mem}) < len(no_mem)
+
+
+def _bulk_take(stream, n, batch):
+    """Consume ``n`` records the way the fast engine does: index the
+    materialized list from the stream's cursor, refill when it runs
+    out."""
+    out = []
+    buf = stream._buf
+    pos = stream._pos
+    while len(out) < n:
+        if pos >= len(buf):
+            stream._pos = pos
+            buf = stream.materialize(batch)
+            pos = stream._pos
+        out.append(buf[pos])
+        pos += 1
+    stream._pos = pos
+    return out
+
+
+class TestSharedWalk:
+    """Bulk streams of one ``(program, thread_id, seed)`` read one shared
+    walk; each must still see exactly a fresh lazy walk of its key."""
+
+    def setup_method(self):
+        stream_mod.release_walks()
+
+    def teardown_method(self):
+        stream_mod.release_walks()
+
+    _fields = TestMaterialize._fields
+
+    def _expect(self, prog, n, thread_id=0, seed=4):
+        return self._fields(_take(InstructionStream(prog, thread_id, seed), n))
+
+    def test_interleaved_uneven_consumers_share_one_walk(self):
+        prog = _mini_loop(trip=3, prob=0.4)
+        expect = self._expect(prog, 3100)
+        a = InstructionStream(prog, 0, seed=4)
+        b = InstructionStream(prog, 0, seed=4)
+        got_a, got_b = [], []
+        while len(got_b) < 3000:
+            got_a += _bulk_take(a, 3, 5)
+            got_b += _bulk_take(b, 11, 64)
+        assert a._walk is b._walk
+        assert self._fields(got_a) == expect[:len(got_a)]
+        assert self._fields(got_b) == expect[:len(got_b)]
+
+    def test_late_stream_reads_from_record_zero(self):
+        prog = _mini_loop(trip=4, prob=0.3)
+        expect = self._expect(prog, 2000)
+        early = InstructionStream(prog, 0, seed=4)
+        got_early = _bulk_take(early, 1500, 512)
+        late = InstructionStream(prog, 0, seed=4)
+        got_late = _bulk_take(late, 300, 7)
+        got_early += _bulk_take(early, 500, 512)
+        assert late._walk is early._walk
+        assert self._fields(got_late) == expect[:300]
+        assert self._fields(got_early) == expect
+
+    def test_release_and_eviction_mid_consumption(self):
+        prog = _mini_loop(trip=4, prob=0.3)
+        expect = self._expect(prog, 1200)
+        first = InstructionStream(prog, 0, seed=4)
+        got_first = _bulk_take(first, 100, 64)
+        stream_mod.release_walks()
+        second = InstructionStream(prog, 0, seed=4)
+        got_second = _bulk_take(second, 50, 64)
+        assert second._walk is not first._walk
+        # other keys push this one out of the memo
+        for tid in range(1, stream_mod._MEMO_WALKS + 1):
+            _bulk_take(InstructionStream(prog, tid, seed=4), 10, 64)
+        assert all(w is not second._walk for w in stream_mod._WALKS.values())
+        third = InstructionStream(prog, 0, seed=4)
+        got_third = _bulk_take(third, 400, 64)
+        assert third._walk is not second._walk
+        got_first += _bulk_take(first, 1100, 64)
+        got_second += _bulk_take(second, 1150, 64)
+        for got in (got_first, got_second, got_third):
+            assert self._fields(got) == expect[:len(got)]
+
+    def test_fork_continues_the_walk_from_any_block(self):
+        prog = _mini_loop(trip=3, prob=0.4)
+        for n in range(1, 40):
+            walk = stream_mod._Walk.start(prog, 0, 4)
+            walk.fill(n)
+            at = len(walk.records)
+            twin = walk.fork()
+            walk.fill(200)
+            twin.fill(200)
+            assert twin.records[:200] == walk.records[at:at + 200]
+
+    def test_stream_past_the_cap_continues_on_a_private_walk(self):
+        prog = _mini_loop(trip=3, prob=0.4)
+        cap, batch = stream_mod.SHARE_CAP, 512
+        total = cap + 5 * batch
+        expect = self._expect(prog, total)
+        lead = InstructionStream(prog, 0, seed=4)
+        trail = InstructionStream(prog, 0, seed=4)
+        got_lead = _bulk_take(lead, batch, batch)
+        got_trail = _bulk_take(trail, batch, batch)
+        shared = lead._walk
+        assert trail._walk is shared
+        while len(got_lead) < total:
+            got_lead += _bulk_take(lead, batch, batch)
+            got_trail += _bulk_take(trail, batch // 2, batch)
+            assert len(lead._buf) <= cap + batch
+        got_trail += _bulk_take(trail, total - len(got_trail), batch)
+        ahead = InstructionStream(prog, 0, seed=4)
+        got_ahead = []
+        while len(got_ahead) < total - batch:  # refill before running out
+            ahead.materialize(batch)
+            got_ahead += [next(ahead) for _ in range(batch // 3)]
+        assert not ahead._shared
+        assert self._fields(got_ahead) == expect[:len(got_ahead)]
+        assert not lead._shared and not trail._shared
+        assert lead._walk is not trail._walk
+        assert len(trail._buf) <= cap + batch
+        assert len(shared.records) <= cap + batch
+        assert self._fields(got_lead) == expect
+        assert self._fields(got_trail) == expect
