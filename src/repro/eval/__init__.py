@@ -57,17 +57,15 @@ from repro.eval.scaling import (
     MatrixResult,
     budget_recommendations,
     frontier_map,
-    machine_axes,
     rank_stability,
     rank_stability_from_ipc,
     scaling_report,
     variant_label,
 )
-from repro.eval.runner import Cell, GridResult, run_cell, run_cells, shard_cells
+from repro.eval.runner import Cell, GridResult, run_cells, shard_cells
 from repro.eval.store import (
     RunStore,
     StoreMismatchError,
-    config_fingerprint,
     merge_runs,
     open_store,
     run_fingerprint,
@@ -114,7 +112,6 @@ __all__ = [
     "budget_recommendations",
     "candidate_table",
     "cell_factory",
-    "config_fingerprint",
     "default_config",
     "enumerate_candidates",
     "enumerate_names",
@@ -122,7 +119,6 @@ __all__ = [
     "frontier_map",
     "frontier_neighborhood",
     "init_queue",
-    "machine_axes",
     "merge_runs",
     "mutate_names",
     "open_backend",
@@ -132,7 +128,6 @@ __all__ = [
     "rank_stability",
     "rank_stability_from_ipc",
     "reset_failed",
-    "run_cell",
     "run_cells",
     "run_fingerprint",
     "run_search",

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.eval.runner import check_tag
-from repro.eval.store import config_fingerprint
+from repro.kernels.cache import identity
 
 __all__ = [
     "DEFAULT_RUNGS",
@@ -176,7 +176,7 @@ class Evaluator:
                 raise ValueError(
                     f"rung {tag!r} is not registered on this session; "
                     f"construct it with configs=rung_configs(base, rungs)")
-            if config_fingerprint(have) != config_fingerprint(cfg):
+            if identity(have) != identity(cfg):
                 raise ValueError(
                     f"session config {tag!r} does not equal "
                     f"base.scaled({dict(self._scales())[tag]}); rung "

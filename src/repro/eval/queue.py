@@ -6,7 +6,7 @@ control flow: :func:`init_queue` turns the grid into a table of open
 cells inside a ``queue:PATH.db`` store, and any number of
 :func:`run_worker` processes — on any machines that can reach the file —
 claim cells atomically, execute them through the ordinary
-:func:`~repro.eval.runner.run_cell` path, write values back, and
+:func:`~repro.eval.runner.run_cell_detailed` path, write values back, and
 heartbeat.  A worker killed mid-cell stops heartbeating; its claim goes
 stale after ``ttl`` seconds and the next claimer picks the cell up, so
 a campaign *always* drains as long as one worker survives.

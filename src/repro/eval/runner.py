@@ -42,9 +42,8 @@ from repro.sim import run_workload
 from repro.trace.stream import release_walks
 from repro.workloads import workload_specs
 
-__all__ = ["Cell", "GridResult", "check_tag", "run_cell",
-           "run_cell_detailed", "run_cells", "run_cells_batch",
-           "shard_cells"]
+__all__ = ["Cell", "GridResult", "check_tag", "run_cell_detailed",
+           "run_cells", "run_cells_batch", "shard_cells"]
 
 #: cell config variants -> SimConfig transform.
 _VARIANTS = {
@@ -191,11 +190,6 @@ def run_cell_detailed(cell: Cell, config, machine=None, options=None
     result = run_workload(programs, cell.scheme, cfg)
     meta = {"engine": cfg.engine, "engine_stats": result.engine_stats}
     return result.ipc, meta
-
-
-def run_cell(cell: Cell, config, machine=None, options=None) -> float:
-    """Simulate one grid cell and return its IPC."""
-    return run_cell_detailed(cell, config, machine, options)[0]
 
 
 def run_cells_batch(cells, config, machine=None) -> list:

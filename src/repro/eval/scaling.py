@@ -36,7 +36,6 @@ __all__ = [
     "MatrixResult",
     "budget_recommendations",
     "frontier_map",
-    "machine_axes",
     "rank_stability",
     "rank_stability_from_ipc",
     "scaling_report",
@@ -50,11 +49,6 @@ def variant_label(machine_tag: str, config_tag: str = "") -> str:
     if config_tag:
         label += f"%{config_tag}"
     return label
-
-
-def machine_axes(machine) -> dict:
-    """The scaling axes of one machine, JSON-able (= ``machine.axes()``)."""
-    return machine.axes()
 
 
 @dataclass
@@ -227,7 +221,7 @@ def scaling_report(matrix: MatrixResult,
     for (mtag, ctag), result in matrix.results.items():
         label = variant_label(mtag, ctag)
         machine = matrix.machine_for(mtag)
-        axes = machine_axes(machine)
+        axes = machine.axes()
         front = frontiers[label]
         best = max(front, key=lambda p: p["ipc"]) if front else None
         pick = recs[label]
@@ -275,8 +269,7 @@ def scaling_report(matrix: MatrixResult,
         notes=notes,
         meta={
             "experiment": matrix.experiment,
-            "machines": {variant_label(m, c): machine_axes(
-                matrix.machine_for(m))
+            "machines": {variant_label(m, c): matrix.machine_for(m).axes()
                 for m, c in matrix.results},
             "frontiers": frontiers,
             "rank_stability": stability,

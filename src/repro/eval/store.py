@@ -41,16 +41,15 @@ result with zero new simulations.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 from repro.eval.backends import StoreBackend, open_backend
 from repro.eval.result import ExperimentResult
+from repro.kernels.cache import identity
 
 __all__ = [
     "RunStore",
     "StoreMismatchError",
-    "config_fingerprint",
     "merge_runs",
     "open_store",
     "run_fingerprint",
@@ -61,32 +60,21 @@ class StoreMismatchError(RuntimeError):
     """Resuming a run store with an incompatible config/machine."""
 
 
-def config_fingerprint(config) -> dict:
-    """JSON-able identity of one :class:`~repro.sim.SimConfig`.
-
-    The simulation engine is deliberately excluded: engines are
-    bit-identical in every reported statistic (tests/test_engine.py), so
-    cell values are engine-agnostic and a run started with ``--engine
-    fast`` may be resumed with ``--engine reference`` and vice versa.
-    """
-    cfg = dataclasses.asdict(config)
-    cfg.pop("engine", None)
-    return json.loads(json.dumps(cfg, default=str))
-
-
 def run_fingerprint(config, machine, machines=None, configs=None) -> dict:
     """JSON-able identity of one campaign: its base config and default
     machine, plus the named machine (``{tag: Machine}``) and config
-    (``{tag: SimConfig}``) variants when it registers any."""
-    fp = {"config": config_fingerprint(config),
-          "machine": machine.describe()}
+    (``{tag: SimConfig}``) variants when it registers any.
+
+    Every field of every machine and config is in it (see
+    :func:`~repro.kernels.cache.identity`) except ``SimConfig.engine``:
+    engines are bit-identical, so cell values are engine-agnostic.
+    """
+    fp = {"config": config, "machine": machine}
     if machines:
-        fp["machines"] = {tag: m.describe()
-                          for tag, m in sorted(machines.items())}
+        fp["machines"] = machines
     if configs:
-        fp["configs"] = {tag: config_fingerprint(c)
-                         for tag, c in sorted(configs.items())}
-    return fp
+        fp["configs"] = configs
+    return identity(fp)
 
 
 _ABSENT = object()

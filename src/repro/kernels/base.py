@@ -41,7 +41,7 @@ class KernelSpec:
 
 
 def compile_spec(spec: KernelSpec, machine, options: CompilerOptions | None = None):
-    """Compile a kernel spec (memoized per machine + options fingerprint).
+    """Compile a kernel spec (memoized per machine + options identity).
 
     Routes through the process-wide in-memory
     :class:`~repro.kernels.cache.ProgramCache`.

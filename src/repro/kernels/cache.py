@@ -5,38 +5,46 @@ most expensive non-simulation step of every experiment, and the same
 twelve Table 1 programs are needed by table1, fig4, fig6 and fig10
 alike.  :class:`ProgramCache` memoizes compiled
 :class:`~repro.compiler.program.VLIWProgram` objects in a dictionary
-keyed by kernel, machine and compiler-options fingerprints, so each
-program is compiled at most once per process.  The parallel grid runner
-compiles every program of a grid in the parent before forking, so
-forked workers inherit the warm memo.
+keyed by the kernel and the :func:`identity` of the machine and the
+compiler options, so each program is compiled at most once per
+process.  The parallel grid runner compiles every program of a grid in
+the parent before forking, so forked workers inherit the warm memo.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import json
+
 from repro.compiler.options import CompilerOptions
 from repro.compiler.pipeline import compile_kernel
 
-__all__ = ["ProgramCache", "cache_key", "get_default_cache"]
+__all__ = ["ProgramCache", "cache_key", "get_default_cache", "identity"]
 
 
-def machine_fingerprint(machine) -> str:
-    """Stable textual identity of a machine description."""
-    lat = ",".join(f"{k.name}={v}" for k, v in sorted(
-        machine.latency.items(), key=lambda kv: kv[0].name))
-    return (
-        f"{machine.name}|c={machine.n_clusters}|{machine.cluster}"
-        f"|lat[{lat}]|xfer={machine.xfer_latency}"
-        f"|tbp={machine.taken_branch_penalty}|regs={machine.regs_per_cluster}"
-    )
+def identity(obj):
+    """JSON-able identity of a frozen dataclass: every field, walked
+    recursively, with enum values and dict keys written by name.
 
-
-def options_fingerprint(options: CompilerOptions) -> str:
-    return (
-        f"unroll={sorted(options.unroll.items())}"
-        f"|scale={options.unroll_scale}|iv={options.iv_split}"
-        f"|spec={options.speculate}|policy={options.cluster_policy}"
-        f"|dce={options.dce}|maxbr={options.max_branches_per_instr}"
-    )
+    Machines, compiler options and simulation configs are all named
+    this way (program-cache keys, run-store fingerprints), so a field a
+    later change adds is part of every identity without listing it.  A
+    field declared with ``metadata={"identity": False}`` is left out.
+    """
+    if isinstance(obj, enum.Enum):
+        return obj.name
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if dataclasses.is_dataclass(obj):
+        return {f.name: identity(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)
+                if f.metadata.get("identity", True)}
+    if isinstance(obj, dict):
+        return {str(identity(k)): identity(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [identity(v) for v in obj]
+    raise TypeError(f"no identity for {type(obj).__name__} {obj!r}")
 
 
 def cache_key(spec, machine, options: CompilerOptions) -> tuple:
@@ -44,8 +52,7 @@ def cache_key(spec, machine, options: CompilerOptions) -> tuple:
     return (
         f"kernel={spec.name}|class={spec.ilp_class}"
         f"|hints={sorted(spec.unroll.items())}",
-        machine_fingerprint(machine),
-        options_fingerprint(options),
+        json.dumps([identity(machine), identity(options)], sort_keys=True),
     )
 
 

@@ -729,10 +729,10 @@ class _LockstepSim:
     # ----------------------------------------------------------- ingest
     def _ingest(self, sid: int) -> None:
         st = self.streams[sid]
-        buf = st.materialize(CHUNK)
-        start = st._pos
         fill = int(self.filled[sid])
         room = self.H - fill
+        buf = st.materialize(min(CHUNK, room))
+        start = st._pos
         take = min(len(buf) - start, room)
         if take <= 0:
             raise RuntimeError(
@@ -1205,6 +1205,9 @@ def run_workloads_batch(tasks, config=None):
         for i, s in enumerate(slots):
             if s is not None:
                 out[i] = sim.result(s)
+        # each controller holds the sim: break the cycle so the group's
+        # arrays are freed on return, not at the next cyclic collection.
+        sim.ctls.clear()
     return out
 
 

@@ -42,8 +42,9 @@ class SimConfig:
     #: simulation engine ('reference', 'fast' or 'batch').  All are
     #: bit-identical in every reported statistic (enforced by the
     #: differential suite in tests/test_engine.py); the choice affects
-    #: wall-clock speed only.
-    engine: str = "fast"
+    #: wall-clock speed only, so it is not part of the config's
+    #: identity: a run may resume with another engine.
+    engine: str = field(default="fast", metadata={"identity": False})
 
     def __post_init__(self) -> None:
         # fail at construction, not at first run: a typo'd engine name

@@ -116,6 +116,48 @@ class TestGroupDifferential:
         for (progs, scheme), res in zip(tasks, results):
             assert _fingerprint(res) == _solo(progs, scheme)
 
+    def test_streams_materialize_only_what_they_take(self):
+        """A refill asks the walk for at most the records the stream's
+        buffer has room for, not a whole ``CHUNK``."""
+        from repro.sim import batch
+        from repro.trace import stream
+
+        programs = workload_programs("LLMH", paper_machine())
+        stream.release_walks()
+        run_workloads_batch([(programs, "1S"), (programs, "2SC3")],
+                            DIFF_CONFIG)
+        room = DIFF_CONFIG.warmup_instrs + DIFF_CONFIG.instr_limit + 8
+        walks = list(stream._WALKS.values())
+        assert walks
+        # the filler stops at a block boundary: a block past the room
+        assert max(len(w.records) for w in walks) < 2 * room < batch.CHUNK
+        stream.release_walks()
+
+    def test_group_is_freed_without_the_cycle_collector(self, monkeypatch):
+        """The lockstep sim's per-cell controllers point back at it;
+        the group must not wait for a cyclic collection to free its
+        arrays."""
+        import gc
+        import weakref
+
+        from repro.sim import batch
+
+        sims = []
+        init = batch._LockstepSim.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            sims.append(weakref.ref(self))
+
+        monkeypatch.setattr(batch._LockstepSim, "__init__", spy)
+        programs = workload_programs("LLLL", paper_machine())
+        gc.disable()
+        try:
+            run_workloads_batch([(programs, "1S")], DIFF_CONFIG)
+            assert len(sims) == 1 and sims[0]() is None
+        finally:
+            gc.enable()
+
     def test_unbatchable_task_yields_none_without_harm(self):
         machine = paper_machine()
         programs = workload_programs("LLLL", machine)

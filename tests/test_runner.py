@@ -2,23 +2,26 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
-from repro.arch import paper_machine
+from repro.arch import ClusterSpec, paper_machine
 from repro.compiler.options import CompilerOptions
 from repro.eval import (
     Cell,
     RunStore,
     Session,
     StoreMismatchError,
+    merge_runs,
     open_store,
     run_cells,
     run_fingerprint,
 )
 from repro.eval.cli import main
+from repro.isa.operation import OpClass
 from repro.kernels import SUITE
-from repro.kernels.cache import ProgramCache, cache_key
+from repro.kernels.cache import ProgramCache, cache_key, identity
 from repro.sim import SimConfig
 
 TINY = SimConfig(instr_limit=800, timeslice=400, warmup_instrs=200)
@@ -172,7 +175,16 @@ class TestRunStore:
         store = open_store(tmp_path / "r",
                                         run_fingerprint(TINY, machine))
         manifest = store.manifest()
-        assert manifest["fingerprint"]["machine"] == machine.describe()
+        assert manifest["fingerprint"]["machine"] == {
+            "n_clusters": 4,
+            "cluster": {"issue_width": 4, "n_mem": 1, "n_mul": 2,
+                        "n_br": 1},
+            "latency": {"ALU": 1, "BR": 1, "COPY": 1, "MEM": 2, "MUL": 2},
+            "xfer_latency": 1,
+            "taken_branch_penalty": 2,
+            "regs_per_cluster": 64,
+            "name": "vex-4c4w",
+        }
 
     def test_cells_roundtrip(self, tmp_path):
         store = open_store(tmp_path / "r")
@@ -208,7 +220,124 @@ class TestRunStore:
         assert store.manifest()["experiments"]["fig9"]["status"] == "done"
 
 
+def _machine_variants():
+    """One paper-machine variant per field beyond its name and
+    geometry (``describe()``), keyed by the field's dotted path."""
+    m = paper_machine()
+    return {
+        "latency.MEM": dataclasses.replace(
+            m, latency={**m.latency, OpClass.MEM: 6}),
+        "xfer_latency": dataclasses.replace(m, xfer_latency=2),
+        "taken_branch_penalty": dataclasses.replace(
+            m, taken_branch_penalty=5),
+        "regs_per_cluster": dataclasses.replace(m, regs_per_cluster=32),
+        "cluster.n_mem": dataclasses.replace(m, cluster=ClusterSpec(n_mem=2)),
+        "cluster.n_mul": dataclasses.replace(m, cluster=ClusterSpec(n_mul=1)),
+        "cluster.n_br": dataclasses.replace(m, cluster=ClusterSpec(n_br=2)),
+    }
+
+
+MACHINE_VARIANTS = _machine_variants()
+
+
+@pytest.fixture(params=["dir:run", "sqlite:run.db"])
+def store_url(request, tmp_path):
+    scheme, name = request.param.split(":")
+    return f"{scheme}:{tmp_path / name}"
+
+
+class TestCampaignIdentity:
+    """Every machine field is in the store fingerprint: a resume on a
+    machine that differs in any one of them is refused, naming it."""
+
+    def test_identity_walks_every_field(self, machine):
+        ident = identity(machine)
+        assert list(ident) == [f.name for f in dataclasses.fields(machine)]
+        assert ident["latency"]["MEM"] == 2
+        assert json.loads(json.dumps(ident)) == ident
+
+    def test_identity_leaves_out_the_engine(self):
+        fast = identity(dataclasses.replace(TINY, engine="fast"))
+        assert "engine" not in fast
+        assert fast == identity(dataclasses.replace(TINY, engine="reference"))
+
+    def test_identity_refuses_unknown_values(self):
+        with pytest.raises(TypeError, match="no identity for object"):
+            identity({"x": object()})
+
+    @pytest.mark.parametrize("path", sorted(MACHINE_VARIANTS))
+    def test_resume_on_other_machine_is_refused(self, store_url, path):
+        Session(config=TINY, store=store_url).close()
+        with pytest.raises(StoreMismatchError,
+                           match=re.escape(f"machine.{path}: ")):
+            Session(machine=MACHINE_VARIANTS[path], config=TINY,
+                    store=store_url)
+
+    @pytest.mark.parametrize("path", sorted(MACHINE_VARIANTS))
+    def test_resume_on_other_machine_variant_is_refused(self, store_url,
+                                                        path, machine):
+        Session(machines={"alt": machine}, config=TINY,
+                store=store_url).close()
+        with pytest.raises(StoreMismatchError,
+                           match=re.escape(f"machines.alt.{path}: ")):
+            Session(machines={"alt": MACHINE_VARIANTS[path]}, config=TINY,
+                    store=store_url)
+
+    def test_latency_only_resume_reuses_nothing(self, tmp_path):
+        """fig4 run on the paper machine, then resumed on one with a
+        6-cycle MEM latency and a 5-cycle branch penalty: refused, and
+        the recorded cells stay as they were."""
+        url = f"dir:{tmp_path / 'run'}"
+        with Session(scale=0.03, store=url) as session:
+            session.run("fig4")
+            assert session.last_grid.executed == 27
+        cells = RunStore(url).load_cells("fig4")
+        m = paper_machine()
+        slow = dataclasses.replace(m, latency={**m.latency, OpClass.MEM: 6},
+                                   taken_branch_penalty=5)
+        with pytest.raises(StoreMismatchError) as err:
+            Session(machine=slow, scale=0.03, store=url)
+        assert "machine.latency.MEM: 2 (store) vs 6" in str(err.value)
+        assert "machine.taken_branch_penalty: 2 (store) vs 5" in str(
+            err.value)
+        assert RunStore(url).load_cells("fig4") == cells
+
+    def test_manifest_with_describe_string_is_refused(self, store_url,
+                                                      machine):
+        """A store stamped when the fingerprint held the one-line
+        ``describe()`` string must be re-run, never resumed."""
+        store = open_store(store_url, run_fingerprint(TINY, machine))
+        manifest = store.manifest()
+        manifest["fingerprint"]["machine"] = machine.describe()
+        store.backend.save_manifest(manifest)
+        store.close()
+        with pytest.raises(StoreMismatchError,
+                           match=re.escape('machine: "vex-4c4w: 4 clusters')):
+            Session(machine=machine, config=TINY, store=store_url)
+
+    def test_merge_refuses_shards_on_other_branch_penalty(self, tmp_path,
+                                                          machine):
+        shards = []
+        for i, m in enumerate((machine,
+                               MACHINE_VARIANTS["taken_branch_penalty"])):
+            shard = open_store(tmp_path / f"s{i}", run_fingerprint(TINY, m))
+            shard.record_cell("fig4", f"workload:LLLL:{i}S:base", 1.0)
+            shards.append(shard)
+        with pytest.raises(StoreMismatchError, match="different config"):
+            merge_runs(tmp_path / "merged", shards)
+        assert not (tmp_path / "merged").exists()
+
+
 class TestProgramCache:
+    def test_equal_machines_share_one_compile(self):
+        cache = ProgramCache()
+        spec = SUITE[0]
+        prog = cache.get(spec, paper_machine())
+        assert cache.get(spec, paper_machine()) is prog
+        assert cache.compiles == 1 and cache.memory_hits == 1
+        cache.get(spec, MACHINE_VARIANTS["latency.MEM"])
+        assert cache.compiles == 2
+
     def test_compiles_once_per_key(self, monkeypatch, machine):
         import repro.kernels.cache as cache_mod
 
