@@ -37,9 +37,6 @@ class RegAllocation:
     phys: dict
     max_pressure: dict
 
-    def phys_of(self, reg: str) -> int:
-        return self.phys[reg]
-
 
 def _block_order(ops, schedule):
     """Op indices of a block in execution (cycle, slot) order."""

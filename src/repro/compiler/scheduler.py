@@ -47,9 +47,6 @@ class Schedule:
     placement: list
     rows: list
 
-    def ops_at(self, cycle: int) -> list:
-        return self.rows[cycle]
-
 
 def list_schedule(ops: list[IROp], clusters: list[int], ddg: DDG, machine,
                   max_branches_per_instr: int = 1) -> Schedule:

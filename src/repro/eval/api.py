@@ -448,11 +448,6 @@ class Session:
         return combined
 
     # -- cache management ------------------------------------------------
-    def seed_result(self, result: ExperimentResult) -> None:
-        """Prime the session's result cache (e.g. a precomputed fig10
-        that fig11/fig12 should derive from)."""
-        self._results[result.experiment] = result
-
     def grid(self, name: str) -> GridResult | None:
         """The last executed grid of one experiment, if any."""
         return self._grids.get(name)

@@ -113,7 +113,7 @@ def _add_sim_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--engine", default="fast",
                     choices=sorted(ENGINES),
                     help="simulation engine: 'fast' (default), "
-                         "'batch' (grouped lockstep for campaign grids) "
+                         "'batch' (lockstep groups on --jobs 1 grids) "
                          "or 'reference' — all bit-identical, the "
                          "reference is the executable specification")
     ap.add_argument("--jobs", "-j", type=int, default=1,
@@ -648,9 +648,6 @@ def _cmd_worker(argv) -> int:
                     help="claims a cell may burn before it is marked "
                          "failed (default 3; transient errors release "
                          "the cell for retry until then)")
-    ap.add_argument("--batch-cells", type=int, default=None,
-                    help="cells to claim per execution group (default: "
-                         "32 on --engine batch campaigns, else 1)")
     ap.add_argument("--no-wait", action="store_true",
                     help="exit when nothing is claimable instead of "
                          "waiting for other workers' in-flight cells")
@@ -667,7 +664,6 @@ def _cmd_worker(argv) -> int:
                             ttl=args.ttl, poll=args.poll,
                             max_cells=args.max_cells,
                             max_attempts=args.max_attempts,
-                            batch_cells=args.batch_cells,
                             wait=not args.no_wait, follow=args.follow,
                             progress=print)
     except (StoreMismatchError, ValueError) as exc:

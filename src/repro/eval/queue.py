@@ -59,12 +59,7 @@ from repro.eval.experiments import (
     cell_factory,
     default_config,
 )
-from repro.eval.runner import (
-    Cell,
-    check_tag,
-    run_cell_detailed,
-    run_cells_batch,
-)
+from repro.eval.runner import Cell, ProgramSet, check_tag, run_cell_detailed
 from repro.eval.store import RunStore, open_store, run_fingerprint
 from repro.eval.sweep import sweep_cells, sweep_threads
 from repro.trace.stream import release_walks
@@ -83,9 +78,6 @@ __all__ = [
 DEFAULT_TTL = 300.0
 #: default claims a cell may burn before it is marked failed.
 DEFAULT_MAX_ATTEMPTS = 3
-#: default cells a worker claims per group on ``--engine batch``
-#: campaigns (the lockstep loop amortizes across the whole group).
-DEFAULT_BATCH_CELLS = 32
 
 
 def _as_queue(store) -> QueueBackend:
@@ -117,7 +109,10 @@ class CampaignSpec:
         experiment: an :data:`~repro.eval.experiments.EXPERIMENT_DEFS`
             id (``"fig10"``) or a sweep id (``"sweep3"``).
         scale: simulation length multiplier (``default_config(scale)``).
-        engine: simulation engine name.
+        engine: simulation engine name.  Workers run one cell per
+            claim on every engine; a lone ``batch`` cell runs on
+            ``FastEngine``, so a batch campaign's values equal a fast
+            one's.
         workloads: Table 2 workload subset for sweeps (None = all).
         machine: machine preset of the campaign default machine.
         machines: machine-preset tags for matrix campaigns — cells are
@@ -319,10 +314,13 @@ def run_worker(store, *, worker_id: str | None = None,
                ttl: float = DEFAULT_TTL, poll: float = 0.5,
                max_cells: int | None = None,
                max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-               batch_cells: int | None = None,
                wait: bool = True, follow: bool = False, on_claim=None,
                progress=None) -> WorkerReport:
     """Drain a queue campaign: claim, execute, write back, heartbeat.
+
+    Each claim is one cell, on every engine: the worker runs it through
+    :func:`~repro.eval.runner.run_cell_detailed`, finishes it and
+    heartbeats before it claims the next.
 
     The worker loops until the queue holds no runnable *or in-flight*
     cells (``wait=True``, the default — in-flight cells of a worker
@@ -342,15 +340,10 @@ def run_worker(store, *, worker_id: str | None = None,
         store: queue store URL / backend / RunStore.
         worker_id: identity recorded on claims (default: host-pid-id).
         ttl: seconds without a heartbeat before another worker's claim
-            counts as abandoned.  Must exceed the slowest single cell
-            (for batch campaigns: the slowest claimed *group*).
+            counts as abandoned.  Must exceed the slowest single cell.
         poll: seconds between claim retries while waiting.
         max_cells: stop after this many claims (None = drain).
         max_attempts: claims a cell may burn before it is failed.
-        batch_cells: cells to claim per execution group.  Defaults to
-            :data:`DEFAULT_BATCH_CELLS` when the campaign runs
-            ``--engine batch`` (grouped cells advance in one lockstep
-            simulation) and to 1 otherwise.
         on_claim: test hook called as ``on_claim(cell, attempt)``
             before execution (fault injection in the recovery tests).
         progress: optional callable receiving one line per processed
@@ -372,19 +365,16 @@ def run_worker(store, *, worker_id: str | None = None,
             f"{backend.url!r} has no campaign spec; run "
             f"`repro-eval queue-init` first")
     spec = CampaignSpec.from_dict(spec_dict)
-    if batch_cells is None:
-        batch_cells = DEFAULT_BATCH_CELLS if spec.engine == "batch" else 1
-    group_size = max(1, batch_cells)
-    machines: dict[str, object] = {}
+    program_sets: dict[str, ProgramSet] = {}
     configs: dict[str, object] = {}
     report = WorkerReport(worker_id or default_worker_id())
 
-    def machine_for(cell: Cell):
-        machine = machines.get(cell.machine)
-        if machine is None:
-            machine = machines[cell.machine] = \
-                spec.machine_for(cell.machine)
-        return machine
+    def programs_for(cell: Cell) -> ProgramSet:
+        programs = program_sets.get(cell.machine)
+        if programs is None:
+            programs = program_sets[cell.machine] = \
+                ProgramSet(spec.machine_for(cell.machine))
+        return programs
 
     def config_for(cell: Cell):
         config = configs.get(cell.config)
@@ -404,45 +394,35 @@ def run_worker(store, *, worker_id: str | None = None,
         entry = manifest.get("experiments", {}).get(experiment, {})
         return entry.get("search_status") == "done"
 
-    def settle_error(claim: dict, exc: Exception) -> None:
-        error = f"{type(exc).__name__}: {exc}"
-        if claim["attempt"] < max_attempts:
-            backend.release(claim["experiment"], claim["key"], error)
-            report.released += 1
-            if progress is not None:
-                progress(f"  {claim['key']}  released for retry "
-                         f"(attempt {claim['attempt']}/{max_attempts}): "
-                         f"{error}")
-        else:
-            backend.fail(claim["experiment"], claim["key"], error)
-            report.failed += 1
-            if progress is not None:
-                progress(f"  {claim['key']}  FAILED: {error}")
-
-    def settle_value(claim: dict, value: float, meta) -> None:
-        backend.finish(claim["experiment"], claim["key"], value, meta)
-        report.executed += 1
-        if progress is not None:
-            retry = (f"  [attempt {claim['attempt']}]"
-                     if claim["attempt"] > 1 else "")
-            progress(f"  {claim['key']} = {value:.4f}{retry}")
-
     def run_one(claim: dict) -> None:
         cell = Cell(**claim["cell"])
         try:
             value, meta = run_cell_detailed(cell, config_for(cell),
-                                            machine_for(cell))
+                                            programs_for(cell))
         except Exception as exc:  # noqa: BLE001 - worker must survive
-            settle_error(claim, exc)
+            error = f"{type(exc).__name__}: {exc}"
+            if claim["attempt"] < max_attempts:
+                backend.release(claim["experiment"], claim["key"], error)
+                report.released += 1
+                if progress is not None:
+                    progress(f"  {claim['key']}  released for retry "
+                             f"(attempt {claim['attempt']}/"
+                             f"{max_attempts}): {error}")
+            else:
+                backend.fail(claim["experiment"], claim["key"], error)
+                report.failed += 1
+                if progress is not None:
+                    progress(f"  {claim['key']}  FAILED: {error}")
         else:
-            settle_value(claim, value, meta)
+            backend.finish(claim["experiment"], claim["key"], value, meta)
+            report.executed += 1
+            if progress is not None:
+                retry = (f"  [attempt {claim['attempt']}]"
+                         if claim["attempt"] > 1 else "")
+                progress(f"  {claim['key']} = {value:.4f}{retry}")
 
     following = follow and spec.kind == "search"
-    while True:
-        budget = None if max_cells is None else \
-            max_cells - (report.executed + report.failed + report.released)
-        if budget is not None and budget <= 0:
-            break
+    while max_cells is None or len(report.keys) < max_cells:
         claim = backend.claim(report.worker, ttl=ttl,
                               max_attempts=max_attempts)
         if claim is None:
@@ -457,43 +437,12 @@ def run_worker(store, *, worker_id: str | None = None,
                 break
             time.sleep(poll)
             continue
-        claims = [claim]
-        limit = group_size if budget is None else min(group_size, budget)
-        while len(claims) < limit:
-            extra = backend.claim(report.worker, ttl=ttl,
-                                  max_attempts=max_attempts)
-            if extra is None:
-                break
-            claims.append(extra)
-        for cl in claims:
-            if cl["attempt"] > 1:
-                report.reclaimed += 1
-            if on_claim is not None:
-                on_claim(Cell(**cl["cell"]), cl["attempt"])
-            report.keys.append(cl["key"])
-        if len(claims) == 1:
-            run_one(claims[0])
-        else:
-            # grouped lockstep execution, one group per (machine,
-            # config) tag pair; a group-wide blowup falls back to
-            # per-cell execution so one poison cell cannot take its
-            # groupmates down with it
-            by_tag: dict[tuple, list[dict]] = {}
-            for cl in claims:
-                by_tag.setdefault((cl["cell"].get("machine", ""),
-                                   cl["cell"].get("config", "")),
-                                  []).append(cl)
-            for tag, group in sorted(by_tag.items()):
-                cells = [Cell(**cl["cell"]) for cl in group]
-                try:
-                    triples = run_cells_batch(cells, config_for(cells[0]),
-                                              machine_for(cells[0]))
-                except Exception:  # noqa: BLE001 - isolate the poison cell
-                    for cl in group:
-                        run_one(cl)
-                else:
-                    for cl, (_key, value, meta) in zip(group, triples):
-                        settle_value(cl, value, meta)
+        if claim["attempt"] > 1:
+            report.reclaimed += 1
+        if on_claim is not None:
+            on_claim(Cell(**claim["cell"]), claim["attempt"])
+        report.keys.append(claim["key"])
+        run_one(claim)
         backend.beat(report.worker)
     # the shared instruction-stream walks served this drain only
     release_walks()

@@ -8,10 +8,10 @@ grid either inline or fanned out over a ``ProcessPoolExecutor``, with:
 * **deterministic assembly** — results are keyed by cell identity, not
   completion order, and each simulation is fully seeded, so parallel
   output is bit-identical to serial output;
-* **compile reuse** — the parent process pre-compiles every distinct
-  program of the grid through the process-wide in-memory
-  :class:`~repro.kernels.cache.ProgramCache` before forking, so forked
-  workers inherit every program instead of compiling it again;
+* **compile reuse** — a grid resolves each distinct program of its
+  machine once (:class:`ProgramSet`), before it forks when it fans
+  out, so the inline path and the pool workers share one lookup per
+  program instead of keying the program cache once per cell;
 * **resume** — completed cells recorded in the attached store are
   skipped, and new results are written through as they complete.
 
@@ -21,13 +21,12 @@ inline path run whichever engine the experiment requested; cell values
 are engine-agnostic because engines are bit-identical (the store
 fingerprint therefore ignores the engine field).
 
-``config.engine == "batch"`` switches grid execution to the grouped
-path: instead of one simulation per cell, compatible pending cells
-advance together in an array-structured lockstep group
-(:func:`repro.sim.batch.run_workloads_batch`), with per-cell fast-engine
-fallback for cells the group cannot model.  Results, store writes and
-resume behave exactly as in the per-cell paths — same keys, same
-values, bit-identical.
+Inline, ``config.engine == "batch"`` runs the pending cells as
+lockstep groups (:func:`run_cells_batch`); everywhere else — and in
+every pool worker, where ``BatchEngine`` delegates a single cell to
+``FastEngine`` — each cell is one simulation.  Results, store writes
+and resume are the same on every path: same keys, same values,
+bit-identical.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from repro.sim import run_workload
 from repro.trace.stream import release_walks
 from repro.workloads import workload_specs
 
-__all__ = ["Cell", "GridResult", "check_tag", "run_cell_detailed",
-           "run_cells", "run_cells_batch", "shard_cells"]
+__all__ = ["Cell", "GridResult", "ProgramSet", "check_tag",
+           "run_cell_detailed", "run_cells", "shard_cells"]
 
 #: cell config variants -> SimConfig transform.
 _VARIANTS = {
@@ -169,14 +168,36 @@ def _cell_specs(cell: Cell):
     return workload_specs(cell.target)
 
 
-def cell_programs(cell: Cell, machine, options=None) -> list:
-    """Compiled programs for one cell (through the program cache)."""
-    return [compile_spec(s, machine, options) for s in _cell_specs(cell)]
+class ProgramSet:
+    """The compiled programs of one machine, each resolved once.
+
+    :func:`~repro.kernels.compile_spec` keys the process-wide program
+    cache by the machine's full identity, a walk that costs more than
+    the lookup it guards.  A grid holds one set for its machine and a
+    queue drain one per machine tag, so each distinct (program,
+    machine) pair goes through the cache once per grid or drain.
+    """
+
+    def __init__(self, machine=None):
+        self.machine = machine or paper_machine()
+        self._by_name: dict = {}
+
+    def of(self, cell: Cell) -> list:
+        """Compiled programs of ``cell``, one per thread."""
+        programs = []
+        for spec in _cell_specs(cell):
+            prog = self._by_name.get(spec.name)
+            if prog is None:
+                prog = self._by_name[spec.name] = compile_spec(
+                    spec, self.machine)
+            programs.append(prog)
+        return programs
 
 
-def run_cell_detailed(cell: Cell, config, machine=None, options=None
+def run_cell_detailed(cell: Cell, config, programs: ProgramSet
                       ) -> tuple[float, dict]:
-    """Simulate one grid cell; returns ``(ipc, meta)``.
+    """Simulate one grid cell on ``programs``' machine; returns
+    ``(ipc, meta)``.
 
     ``meta`` is diagnostic provenance for the cell — the engine that ran
     it plus its :class:`~repro.sim.engine.EngineStats` counters (batch
@@ -184,18 +205,16 @@ def run_cell_detailed(cell: Cell, config, machine=None, options=None
     is never part of the cell's value: engines are bit-identical, and
     stores ignore metadata for resume/merge purposes.
     """
-    machine = machine or paper_machine()
-    programs = cell_programs(cell, machine, options)
     cfg = _VARIANTS[cell.variant](config)
-    result = run_workload(programs, cell.scheme, cfg)
+    result = run_workload(programs.of(cell), cell.scheme, cfg)
     meta = {"engine": cfg.engine, "engine_stats": result.engine_stats}
     return result.ipc, meta
 
 
-def run_cells_batch(cells, config, machine=None) -> list:
+def run_cells_batch(cells, config, programs: ProgramSet) -> list:
     """Run a list of cells as lockstep groups; returns per-cell triples.
 
-    The grouped path of ``--engine batch``: cells are grouped by config
+    The inline path of ``--engine batch``: cells are grouped by config
     variant (the only axis that changes the shared
     :class:`~repro.sim.SimConfig` inside one ``run_cells`` invocation —
     machine and config tags are already resolved by then) and each
@@ -207,7 +226,6 @@ def run_cells_batch(cells, config, machine=None) -> list:
     """
     from repro.sim.batch import run_workloads_batch
 
-    machine = machine or paper_machine()
     cells = list(cells)
     by_variant: dict[str, list[Cell]] = {}
     for cell in cells:
@@ -215,12 +233,11 @@ def run_cells_batch(cells, config, machine=None) -> list:
     out: dict[str, tuple] = {}
     for variant, vcells in by_variant.items():
         cfg = _VARIANTS[variant](config)
-        tasks = [(cell_programs(cell, machine), cell.scheme)
-                 for cell in vcells]
+        tasks = [(programs.of(cell), cell.scheme) for cell in vcells]
         results = run_workloads_batch(tasks, cfg)
         for cell, res in zip(vcells, results):
             if res is None:  # straggler: per-cell fallback (solo fast)
-                value, meta = run_cell_detailed(cell, config, machine)
+                value, meta = run_cell_detailed(cell, config, programs)
                 out[cell.key] = (cell.key, value, meta)
             else:
                 meta = {"engine": "batch", "engine_stats": res.engine_stats}
@@ -232,33 +249,15 @@ def run_cells_batch(cells, config, machine=None) -> list:
 _worker_state: dict = {}
 
 
-def _worker_init(config, machine) -> None:
+def _worker_init(config, programs) -> None:
     _worker_state["config"] = config
-    _worker_state["machine"] = machine
+    _worker_state["programs"] = programs
 
 
 def _worker_run(cell: Cell) -> tuple[str, float, dict]:
     value, meta = run_cell_detailed(cell, _worker_state["config"],
-                                    _worker_state["machine"])
+                                    _worker_state["programs"])
     return cell.key, value, meta
-
-
-def _worker_run_batch(cells) -> list:
-    return run_cells_batch(cells, _worker_state["config"],
-                           _worker_state["machine"])
-
-
-def _prewarm(cells, machine, options=None) -> None:
-    """Compile every distinct program of the grid once, in the parent.
-
-    Forked workers inherit the warm in-memory cache.
-    """
-    seen = set()
-    for cell in cells:
-        for spec in _cell_specs(cell):
-            if spec.name not in seen:
-                seen.add(spec.name)
-                compile_spec(spec, machine, options)
 
 
 def run_cells(cells, config, machine=None, jobs: int = 1, store=None
@@ -291,7 +290,6 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
             f"grid mixes machine/config tags {sorted(tags)}; run_cells "
             f"executes one (machine, config) resolution at a time — "
             f"partition by tag first (Session does this automatically)")
-    machine = machine or paper_machine()
 
     result = GridResult(experiment=experiment)
     done = dict(store.load_cells(experiment)) if store else {}
@@ -309,47 +307,28 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
         if store is not None:
             store.record_cell(experiment, key, value, meta)
 
-    batched = config.engine == "batch" and len(pending) > 1
-    if batched and jobs > 1:
-        # one lockstep group per worker: deterministic round-robin
-        # shards over key order, assembled by key as usual
-        _prewarm(pending, machine)
-        workers = min(jobs, len(pending))
-        ordered = sorted(pending, key=lambda c: c.key)
-        shards = [ordered[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(config, machine),
-        ) as pool:
-            futures = {pool.submit(_worker_run_batch, shard)
-                       for shard in shards}
-            while futures:
-                finished, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    for key, value, meta in fut.result():
-                        record(key, value, meta)
-    elif batched:
-        for key, value, meta in run_cells_batch(pending, config, machine):
+    programs = ProgramSet(machine)
+    if config.engine == "batch" and jobs <= 1 and len(pending) > 1:
+        for key, value, meta in run_cells_batch(pending, config, programs):
             record(key, value, meta)
     elif jobs <= 1 or len(pending) <= 1:
         for cell in pending:
-            value, meta = run_cell_detailed(cell, config, machine)
-            record(cell.key, value, meta)
-    elif pending:
-        _prewarm(pending, machine)
-        workers = min(jobs, len(pending))
+            record(cell.key, *run_cell_detailed(cell, config, programs))
+    else:
+        # resolve every program before forking: the workers inherit
+        # the filled set and look nothing up again
+        for cell in pending:
+            programs.of(cell)
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=min(jobs, len(pending)),
             initializer=_worker_init,
-            initargs=(config, machine),
+            initargs=(config, programs),
         ) as pool:
             futures = {pool.submit(_worker_run, cell) for cell in pending}
             while futures:
                 finished, futures = wait(futures, return_when=FIRST_COMPLETED)
                 for fut in finished:
-                    key, value, meta = fut.result()
-                    record(key, value, meta)
+                    record(*fut.result())
 
     # the shared instruction-stream walks served this grid only
     release_walks()

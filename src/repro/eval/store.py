@@ -80,11 +80,11 @@ def run_fingerprint(config, machine, machines=None, configs=None) -> dict:
 _ABSENT = object()
 
 
-def _fingerprint_diff(recorded: dict, current: dict, limit: int = 3
-                     ) -> list[str]:
+def _fingerprint_diff(recorded: dict, current: dict, limit: int = 3,
+                      names: tuple = ("store", "this run")) -> list[str]:
     """The first ``limit`` dotted paths where two fingerprints differ,
-    each with both values, e.g. ``config.seed: 1 (store) vs 2 (this
-    run)``."""
+    each with both values named by ``names``, e.g. ``config.seed: 1
+    (store) vs 2 (this run)``."""
     diffs: list[str] = []
 
     def show(value) -> str:
@@ -99,8 +99,8 @@ def _fingerprint_diff(recorded: dict, current: dict, limit: int = 3
                 walk(a.get(k, _ABSENT), b.get(k, _ABSENT),
                      f"{path}.{k}" if path else k)
         elif a != b:
-            diffs.append(f"{path}: {show(a)} (store) vs {show(b)} "
-                         f"(this run)")
+            diffs.append(f"{path}: {show(a)} ({names[0]}) vs {show(b)} "
+                         f"({names[1]})")
 
     walk(recorded, current, "")
     return diffs[:limit]
@@ -311,9 +311,11 @@ def merge_runs(dest_path, source_paths) -> RunStore:
         )
     for src, fp in zip(sources, stamped):
         if fp is not None and fp != present[0]:
+            diffs = "; ".join(_fingerprint_diff(
+                present[0], fp, names=("first source", "this source")))
             raise StoreMismatchError(
                 f"source {src.url!r} was created with a different "
-                f"config/machine than the other sources"
+                f"config/machine than the other sources ({diffs})"
             )
     fingerprint = present[0] if present else None
     dest = open_store(dest_path, fingerprint)

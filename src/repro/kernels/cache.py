@@ -7,8 +7,10 @@ alike.  :class:`ProgramCache` memoizes compiled
 :class:`~repro.compiler.program.VLIWProgram` objects in a dictionary
 keyed by the kernel and the :func:`identity` of the machine and the
 compiler options, so each program is compiled at most once per
-process.  The parallel grid runner compiles every program of a grid in
-the parent before forking, so forked workers inherit the warm memo.
+process.  A grid or a queue drain looks each of its programs up here
+once (:class:`~repro.eval.runner.ProgramSet`), and the parallel grid
+runner does so in the parent before forking, so forked workers inherit
+the resolved programs.
 """
 
 from __future__ import annotations

@@ -297,7 +297,7 @@ class TestWorkerLoop:
         executed = []
         monkeypatch.setattr(
             "repro.eval.queue.run_cell_detailed",
-            lambda cell, config, machine: executed.append(cell.key) or (1.0, {}))
+            lambda cell, config, programs: executed.append(cell.key) or (1.0, {}))
         report = run_worker(url, worker_id="w1")
         assert report.executed == 2 and report.failed == 0
         assert sorted(executed) == sorted(c.key for c in SPEC.cells())
@@ -315,7 +315,7 @@ class TestWorkerLoop:
         executed: list[str] = []
         lock = threading.Lock()
 
-        def fake_run_cell_detailed(cell, config, machine):
+        def fake_run_cell_detailed(cell, config, programs):
             with lock:
                 executed.append(cell.key)
             time.sleep(0.002)  # encourage interleaving
@@ -347,7 +347,7 @@ class TestWorkerLoop:
         assert abandoned is not None
         crashed.close()
         monkeypatch.setattr("repro.eval.queue.run_cell_detailed",
-                            lambda cell, config, machine: (1.0, {}))
+                            lambda cell, config, programs: (1.0, {}))
         time.sleep(0.06)
         report = run_worker(url, worker_id="rescuer", ttl=0.05, poll=0.01)
         assert report.executed == 2
@@ -361,7 +361,7 @@ class TestWorkerLoop:
         init_queue(url, SPEC)
         bad_key = sorted(c.key for c in SPEC.cells())[0]
 
-        def flaky(cell, config, machine):
+        def flaky(cell, config, programs):
             if cell.key == bad_key:
                 raise RuntimeError("transient blowup")
             return 1.0, {}
@@ -375,7 +375,7 @@ class TestWorkerLoop:
         assert "transient blowup" in row["error"]
         # operator fixes the cause, reopens, re-drains
         monkeypatch.setattr("repro.eval.queue.run_cell_detailed",
-                            lambda cell, config, machine: (1.0, {}))
+                            lambda cell, config, programs: (1.0, {}))
         assert reset_failed(url) == 1
         assert run_worker(url, worker_id="w2").executed == 1
         assert queue_status(url).drained
@@ -389,7 +389,7 @@ class TestWorkerLoop:
         init_queue(url, SPEC)
         attempts: dict[str, int] = {}
 
-        def flaky(cell, config, machine):
+        def flaky(cell, config, programs):
             n = attempts[cell.key] = attempts.get(cell.key, 0) + 1
             if n == 1:
                 raise RuntimeError("transient blowup")
@@ -415,7 +415,7 @@ class TestWorkerLoop:
         init_queue(url, SPEC)
         bad_key = sorted(c.key for c in SPEC.cells())[0]
 
-        def poison(cell, config, machine):
+        def poison(cell, config, programs):
             if cell.key == bad_key:
                 raise RuntimeError("deterministic blowup")
             return 1.0, {}
@@ -435,7 +435,7 @@ class TestWorkerLoop:
         holder = QueueBackend(str(tmp_path / "camp.db"))
         held = holder.claim("other-worker", ttl=300)
         monkeypatch.setattr("repro.eval.queue.run_cell_detailed",
-                            lambda cell, config, machine: (1.0, {}))
+                            lambda cell, config, programs: (1.0, {}))
         report = run_worker(url, worker_id="w1", wait=False)
         assert report.executed == 1  # only the remaining open cell
         assert held["key"] not in report.keys
@@ -445,7 +445,7 @@ class TestWorkerLoop:
         url = _url(tmp_path)
         init_queue(url, SPEC)
         monkeypatch.setattr("repro.eval.queue.run_cell_detailed",
-                            lambda cell, config, machine: (1.0, {}))
+                            lambda cell, config, programs: (1.0, {}))
         assert run_worker(url, max_cells=1).executed == 1
         assert queue_status(url).counts["open"] == 1
 
@@ -501,9 +501,9 @@ class TestDrainIdentity:
 
     def test_batch_campaign_drain_equals_serial_directory_run(
             self, tmp_path):
-        """``--engine batch`` workers claim cell groups and advance
-        them in one lockstep simulation; the drained queue must still
-        be byte-identical to a serial ``dir:`` run (which also proves
+        """``--engine batch`` workers run one cell per claim, each on
+        the batch engine's solo path; the drained queue must be
+        byte-identical to a serial ``dir:`` run (which also proves
         cross-engine identity — the store fingerprint is deliberately
         engine-agnostic)."""
         pytest.importorskip("numpy")
@@ -511,7 +511,7 @@ class TestDrainIdentity:
                             workloads=("LLLL",), engine="batch")
         url = _url(tmp_path)
         init_queue(url, spec)
-        report = run_worker(url, worker_id="bw")  # one grouped claim
+        report = run_worker(url, worker_id="bw")  # one claim per cell
         assert report.executed == 2 and report.failed == 0
         assert queue_status(url).drained
         config = default_config(0.05)
@@ -585,14 +585,17 @@ class TestDrainIdentity:
 # SQL statement budget of a drain
 # ----------------------------------------------------------------------
 class TestStatementBudget:
+    @pytest.mark.parametrize("engine", ["fast", "batch"])
     def test_drain_costs_at_most_six_statements_per_cell(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, engine):
         """Per executed cell: a 4-statement claim (BEGIN IMMEDIATE,
         stale-fail UPDATE, claiming UPDATE ... RETURNING, COMMIT), a
-        1-statement finish and 1 heartbeat; at most 10 more for opening
-        the store, the final empty claim and the idle check.  The
-        lockfile is still taken once per claim and once per finish."""
-        spec = CampaignSpec(experiment="sweep2", scale=0.05)  # 18 cells
+        1-statement finish and 1 heartbeat; 8 more for opening the
+        store, the final empty claim and the idle check.  The lockfile
+        is still taken once per claim and once per finish.  A batch
+        campaign drains cell by cell too, at exactly the same cost."""
+        spec = CampaignSpec(experiment="sweep2", scale=0.05,
+                            engine=engine)  # 18 cells
         url = _url(tmp_path)
         init_queue(url, spec)
         statements: list[str] = []
@@ -614,11 +617,11 @@ class TestStatementBudget:
         monkeypatch.setattr(_FileLock, "__enter__", counted_enter)
         monkeypatch.setattr(
             "repro.eval.queue.run_cell_detailed",
-            lambda cell, config, machine: (1.0, {"engine": "fast"}))
+            lambda cell, config, programs: (1.0, {"engine": "fast"}))
         report = run_worker(url, worker_id="w1")
         cells = len(spec.cells())
         assert report.executed == cells == 18
-        assert len(statements) <= 6 * cells + 10, statements
+        assert len(statements) == 6 * cells + 8, statements
         claims = cells + 1  # the last claim finds the queue empty
         assert len(locks) == claims + cells
         monkeypatch.undo()
@@ -636,7 +639,7 @@ class TestStatementBudget:
         statements for these 18 cells."""
         monkeypatch.setattr(
             "repro.eval.runner.run_cell_detailed",
-            lambda cell, config, machine: (1.0, {"engine": "fast"}))
+            lambda cell, config, programs: (1.0, {"engine": "fast"}))
         session = Session(scale=0.05, store=f"sqlite:{tmp_path / 'c.db'}")
         statements: list[str] = []
         session.store.backend._conn.set_trace_callback(statements.append)

@@ -19,6 +19,7 @@ from repro.eval import (
     run_fingerprint,
 )
 from repro.eval.cli import main
+from repro.eval.experiments import default_config
 from repro.isa.operation import OpClass
 from repro.kernels import SUITE
 from repro.kernels.cache import ProgramCache, cache_key, identity
@@ -71,6 +72,19 @@ class TestParallelEqualsSerial:
         assert serial.rows == parallel.rows
         assert serial.meta == parallel.meta
 
+    def test_batch_grid_in_a_pool_equals_inline_groups(self, machine):
+        """With ``jobs=2`` a batch grid goes to the pool one cell per
+        task, where ``BatchEngine`` runs each cell on ``FastEngine``;
+        the values equal the inline lockstep groups' exactly."""
+        pytest.importorskip("numpy")
+        config = default_config(0.03, engine="batch")
+        cells = [Cell("fig4", "workload", wl, s)
+                 for wl in ("LLLL", "HHHH") for s in ("ST", "1S", "3SSS")]
+        inline = run_cells(cells, config, machine)
+        pooled = run_cells(cells, config, machine, jobs=2)
+        assert pooled.executed == inline.executed == len(cells)
+        assert pooled.values == inline.values
+
 
 class TestSharedWalks:
     """Cells of one grid read each thread's instruction records from one
@@ -81,7 +95,7 @@ class TestSharedWalks:
              for wl in ("LLLL", "HHHH") for s in ("ST", "1S", "3SSS")]
 
     def test_one_walk_per_key(self, machine, monkeypatch):
-        from repro.eval.runner import cell_programs
+        from repro.eval.runner import ProgramSet
         from repro.trace import stream
 
         real = stream._Walk.start
@@ -94,9 +108,10 @@ class TestSharedWalks:
         monkeypatch.setattr(stream._Walk, "start", classmethod(counting))
         stream.release_walks()
         run_cells(self.CELLS, TINY, machine)
+        programs = ProgramSet(machine)
         keys = {(id(p), i, TINY.seed + 17 * i)
                 for cell in self.CELLS
-                for i, p in enumerate(cell_programs(cell, machine))}
+                for i, p in enumerate(programs.of(cell))}
         assert sorted(built) == sorted(keys)
         assert not stream._WALKS  # the grid released its walks
 
@@ -323,8 +338,11 @@ class TestCampaignIdentity:
             shard = open_store(tmp_path / f"s{i}", run_fingerprint(TINY, m))
             shard.record_cell("fig4", f"workload:LLLL:{i}S:base", 1.0)
             shards.append(shard)
-        with pytest.raises(StoreMismatchError, match="different config"):
+        with pytest.raises(StoreMismatchError,
+                           match="different config") as err:
             merge_runs(tmp_path / "merged", shards)
+        assert ("machine.taken_branch_penalty: 2 (first source) vs 5 "
+                "(this source)") in str(err.value)
         assert not (tmp_path / "merged").exists()
 
 
