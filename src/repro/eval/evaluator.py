@@ -239,13 +239,11 @@ class Evaluator:
 
     def _drain_queue(self, cells):
         """Fleet path: enqueue, drain alongside the fleet, read back."""
-        import dataclasses
-
         from repro.eval.queue import run_worker
 
         experiment = self.plan.experiment
         recorded = set(self.queue.load_cells(experiment))
-        keyed = {c.key: dataclasses.asdict(c) for c in cells}
+        keyed = {c.key: c.to_dict() for c in cells}
         self.queue.enqueue(experiment, keyed)
         report = run_worker(self.queue, wait=True)
         stored = self.queue.load_cells(experiment)

@@ -24,11 +24,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.arch import paper_machine
-from repro.cost import csmt_parallel, csmt_serial, scheme_cost, smt_serial
+from repro.cost import csmt_parallel, csmt_serial, smt_serial
+from repro.eval.pareto import named_scheme_cost
 from repro.eval.result import ExperimentResult
 from repro.eval.runner import Cell, GridResult, run_cells
 from repro.kernels import SUITE
-from repro.merge import FIG10_GROUPS, PAPER_SCHEMES, distinct_semantics, get_scheme
+from repro.merge import FIG10_GROUPS, PAPER_SCHEMES, distinct_semantics
 from repro.sim import SimConfig
 from repro.workloads import TABLE2, WORKLOAD_ORDER
 
@@ -243,7 +244,7 @@ def _static_fig9(machine=None) -> ExperimentResult:
     rows = []
     fig9_order = PAPER_SCHEMES[:3] + ["1S"] + PAPER_SCHEMES[3:]
     for name in fig9_order:
-        c = scheme_cost(get_scheme(name), machine.n_clusters)
+        c = named_scheme_cost(name, machine.n_clusters)
         rows.append((name, c.transistors, c.gate_delays,
                      c.n_smt_blocks, c.n_csmt_blocks))
     return ExperimentResult(
@@ -321,7 +322,7 @@ def _scatter(experiment: str, title: str, cost_field: str,
     for name in ["1S"] + PAPER_SCHEMES:
         if name not in avgs:
             continue
-        c = scheme_cost(get_scheme(name), machine.n_clusters)
+        c = named_scheme_cost(name, machine.n_clusters)
         cost = getattr(c, cost_field)
         rows.append((name, round(avgs[name], 2), cost))
     rows.sort(key=lambda r: r[1])

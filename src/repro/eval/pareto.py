@@ -6,19 +6,47 @@ attractive...").  This module mechanizes that walk so users can query the
 trade-off for their own budgets, machines and workloads - the natural
 follow-on the conclusions invite.  ``repro-eval sweep`` feeds it the
 *entire* enumerated design space (:mod:`repro.eval.sweep`), not just the
-paper's 16 schemes, so the frontier construction is written to stay
-cheap at thousands of points.
+paper's 16 schemes, and the guided search (:mod:`repro.eval.search`)
+re-joins it after every fidelity rung, so the join is written to stay
+cheap at thousands of points: a scheme is priced once per process
+(:func:`named_scheme_cost`), :func:`pareto_frontier` costs
+O(n log n + n*f) for a frontier of f points and
+:func:`frontier_neighborhood` O(n log n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import groupby
 
-from repro.cost import scheme_cost
+from repro.cost import CostParams, SchemeCost, scheme_cost
 from repro.merge import PAPER_SCHEMES, canonical, get_scheme
 
 __all__ = ["DesignPoint", "design_points", "frontier_neighborhood",
-           "pareto_frontier", "recommend"]
+           "named_scheme_cost", "pareto_frontier", "recommend"]
+
+_DEFAULT_PARAMS = CostParams()
+
+
+def named_scheme_cost(name: str, m_clusters: int = 4,
+                      params: CostParams | None = None) -> SchemeCost:
+    """:func:`~repro.cost.scheme_cost` of the scheme called ``name``,
+    walked once per process for each ``(name, m_clusters, params)``.
+
+    A cost is a pure function of those three, so every later call is a
+    lookup.  The memo is keyed by name, not by
+    :func:`~repro.merge.semantic_key`: schemes that simulate alike can
+    still differ in hardware (``C4`` and ``3CCC`` do).
+    """
+    return _walk_cost(name.upper(), m_clusters,
+                      _DEFAULT_PARAMS if params is None else params)
+
+
+@lru_cache(maxsize=None)
+def _walk_cost(name: str, m_clusters: int,
+               params: CostParams) -> SchemeCost:
+    return scheme_cost(get_scheme(name), m_clusters, params)
 
 
 @dataclass(frozen=True)
@@ -79,10 +107,7 @@ def design_points(avg_ipc: dict, m_clusters: int = 4,
         ipc = flat.get(name, flat.get(canonical(name)))
         if ipc is None:
             continue
-        if params is None:
-            c = scheme_cost(get_scheme(name), m_clusters)
-        else:
-            c = scheme_cost(get_scheme(name), m_clusters, params)
+        c = named_scheme_cost(name, m_clusters, params)
         out.append(DesignPoint(name, ipc, c.transistors, c.gate_delays))
     return out
 
@@ -155,18 +180,43 @@ def frontier_neighborhood(points, eps: float = 0.05) -> list[DesignPoint]:
     Ties are deduplicated exactly as in :func:`pareto_frontier` (the
     returned points carry ``aliases``); sorted by increasing transistor
     count.
+
+    O(n log n): points are swept in transistor order, each block of
+    equal transistor counts inserted into a prefix-max tree over
+    gate-delay ranks before any of its points is queried.  The tree
+    then holds every point at most as costly in transistors, and its
+    prefix max over the point's gate delays is the best IPC that could
+    eps-dominate it — the same answer as comparing all pairs.
     """
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     deduped = _dedupe_ties(points)
+    rank = {d: i + 1 for i, d in enumerate(
+        sorted({p.gate_delays for p in deduped}))}
+    tree = [float("-inf")] * (len(rank) + 1)   # Fenwick, prefix max IPC
     out = []
-    for p in deduped:
-        eps_dominated = any(
-            q.transistors <= p.transistors
-            and q.gate_delays <= p.gate_delays
-            and q.ipc > p.ipc * (1 + eps)
-            for q in deduped if q is not p)
-        if not eps_dominated:
+    for _, block in groupby(sorted(deduped, key=lambda p: p.transistors),
+                            key=lambda p: p.transistors):
+        block = list(block)
+        for q in block:
+            i = rank[q.gate_delays]
+            while i < len(tree):
+                if q.ipc > tree[i]:        # a NaN IPC never enters
+                    tree[i] = q.ipc
+                i += i & -i
+        for p in block:
+            best, i = float("-inf"), rank[p.gate_delays]
+            while i:
+                best = max(best, tree[i])
+                i -= i & -i
+            bar = p.ipc * (1 + eps)
+            # the tree holds p itself, which only a negative IPC
+            # clears; then the dominator must be another point
+            if best > bar and (p.ipc <= bar or any(
+                    q.transistors <= p.transistors
+                    and q.gate_delays <= p.gate_delays
+                    and q.ipc > bar for q in deduped if q is not p)):
+                continue
             out.append(p)
     return sorted(out, key=lambda p: (p.transistors, -p.ipc))
 

@@ -277,7 +277,7 @@ def init_queue(store, spec: CampaignSpec) -> "QueueStatus":
     by_experiment: dict[str, dict[str, dict]] = {}
     for cell in spec.cells():
         by_experiment.setdefault(cell.experiment, {})[cell.key] = \
-            dataclasses.asdict(cell)
+            cell.to_dict()
     backend = _as_queue(store)
     open_store(backend, spec.fingerprint())
     existing = backend.load_campaign()

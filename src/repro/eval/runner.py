@@ -94,6 +94,11 @@ class Cell:
         check_tag("machine", self.machine, empty_ok=True)
         check_tag("config", self.config, empty_ok=True)
 
+    def to_dict(self) -> dict:
+        """The field dict a queue row stores and ``Cell(**d)`` rebuilds
+        (every field is a string, so no deep copy is needed)."""
+        return dict(vars(self))
+
     @property
     def key(self) -> str:
         """Stable identity used for result assembly and resume."""

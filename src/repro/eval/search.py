@@ -309,8 +309,6 @@ def run_search(session, n_threads: int = 4, workloads=None, *,
     ev = Evaluator(session, plan, rungs, machine_tag=machine, queue=queue)
     member_to_canon = {m: g.canonical for g in plan.groups
                        for m in g.members}
-    canon_by_key = {semantic_key(g.canonical): g.canonical
-                    for g in plan.groups}
     all_canons = [g.canonical for g in plan.groups]
     report = SearchReport(
         n_threads=n_threads, workloads=plan.workloads,
@@ -350,6 +348,8 @@ def run_search(session, n_threads: int = 4, workloads=None, *,
     elif evolve:
         low = rungs[0]
         rng = random.Random(seed)
+        canon_by_key = {semantic_key(g.canonical): g.canonical
+                        for g in plan.groups}
         pool = sorted(rng.sample(all_canons,
                                  min(population, len(all_canons))))
         seen = set(pool)

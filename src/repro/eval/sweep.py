@@ -50,8 +50,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.arch import paper_machine
-from repro.cost import scheme_cost
-from repro.eval.pareto import design_points, pareto_frontier, recommend
+from repro.eval.pareto import (
+    design_points,
+    named_scheme_cost,
+    pareto_frontier,
+    recommend,
+)
 from repro.eval.result import ExperimentResult
 from repro.eval.runner import Cell
 from repro.merge import (
@@ -400,7 +404,7 @@ def candidate_table(n_threads: int = 4, machine=None) -> ExperimentResult:
     rows = []
     for group in groups:
         for i, name in enumerate(group.members):
-            c = scheme_cost(get_scheme(name), machine.n_clusters)
+            c = named_scheme_cost(name, machine.n_clusters)
             rows.append((name, group.canonical if i else "(canonical)",
                          c.transistors, c.gate_delays))
     n_schemes = sum(len(g.members) for g in groups)

@@ -4,7 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.eval.pareto import DesignPoint, design_points, pareto_frontier, recommend
+from repro.cost import CostParams, scheme_cost
+from repro.eval.pareto import (
+    DesignPoint,
+    _dedupe_ties,
+    design_points,
+    frontier_neighborhood,
+    named_scheme_cost,
+    pareto_frontier,
+    recommend,
+)
+from repro.eval.sweep import enumerate_candidates, enumerate_names
+from repro.merge import get_scheme
 
 #: full-scale fig10 averages (results/fig10.json) - fixed inputs keep
 #: these tests fast and deterministic.
@@ -189,6 +200,81 @@ class TestFrontierProperties:
         again = pareto_frontier(front)
         assert again == front
         assert [p.aliases for p in again] == [p.aliases for p in front]
+
+
+#: the eps values the guided search uses (0.05 is its default), plus
+#: arbitrary non-negative ones, infinity included.
+_EPS = st.one_of(st.just(0.0), st.just(0.05),
+                 st.floats(min_value=0.0, allow_nan=False))
+
+
+def _naive_neighborhood(points, eps):
+    """The eps-neighborhood by comparing every pair of deduplicated
+    points."""
+    deduped = _dedupe_ties(points)
+    out = [p for p in deduped
+           if not any(q.transistors <= p.transistors
+                      and q.gate_delays <= p.gate_delays
+                      and q.ipc > p.ipc * (1 + eps)
+                      for q in deduped if q is not p)]
+    return sorted(out, key=lambda p: (p.transistors, -p.ipc))
+
+
+def _with_aliases(points):
+    return [(p, p.aliases) for p in points]
+
+
+class TestNeighborhoodProperties:
+    @given(points=_POINTS, eps=_EPS)
+    def test_matches_naive_all_pairs_neighborhood(self, points, eps):
+        """Same members, same order, same aliases as all pairs."""
+        assert _with_aliases(frontier_neighborhood(points, eps)) \
+            == _with_aliases(_naive_neighborhood(points, eps))
+
+    @given(points=_POINTS, eps=_EPS)
+    def test_contains_the_frontier(self, points, eps):
+        hood = frontier_neighborhood(points, eps)
+        assert all(p in hood for p in pareto_frontier(points))
+
+    def test_negative_eps_is_refused(self, points):
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            frontier_neighborhood(points, -0.01)
+
+    def test_negative_ipc_does_not_dominate_itself(self):
+        """``-1.0 > -1.0 * 1.5``: the sweep's prefix max holds the point
+        itself, which must not count as its own dominator."""
+        alone = DesignPoint("a", -1.0, 10, 1)
+        assert frontier_neighborhood([alone], 0.5) == [alone]
+        beaten = DesignPoint("b", -1.2, 5, 1)
+        assert frontier_neighborhood([alone, beaten], 0.5) == [beaten]
+
+
+class TestNamedSchemeCost:
+    @pytest.mark.parametrize("m_clusters", [2, 4, 8])
+    @pytest.mark.parametrize("params", [None, CostParams.fit()],
+                             ids=["default", "fitted"])
+    def test_memo_equals_a_fresh_walk(self, m_clusters, params):
+        fresh_params = CostParams() if params is None else params
+        for name in enumerate_names(8):
+            fresh = scheme_cost(get_scheme(name), m_clusters, fresh_params)
+            memo = named_scheme_cost(name, m_clusters, params)
+            assert (memo.transistors, memo.gate_delays) \
+                == (fresh.transistors, fresh.gate_delays), name
+            assert memo == fresh
+
+    def test_one_entry_per_name_and_params(self):
+        memo = named_scheme_cost("2SC3")
+        assert named_scheme_cost("2sc3", 4, CostParams()) is memo
+        assert named_scheme_cost("2SC3", 4, CostParams.fit()) != memo
+
+    def test_semantic_groups_do_not_share_a_cost(self):
+        """Members of one semantic group simulate alike but can differ
+        in hardware, so a cost memo keyed by semantics would be wrong."""
+        mixed = [g for g in enumerate_candidates(8)
+                 if len({(named_scheme_cost(m).transistors,
+                          named_scheme_cost(m).gate_delays)
+                         for m in g.members}) > 1]
+        assert mixed
 
 
 class TestRecommendProperties:

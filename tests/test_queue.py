@@ -15,6 +15,7 @@ Backend *store* parity (round-trips, mixed-backend merge) is covered by
 """
 
 import dataclasses
+import json
 import os
 import sqlite3
 import sys
@@ -27,6 +28,7 @@ from repro.eval import (
     CampaignSpec,
     Session,
     StoreMismatchError,
+    WorkerReport,
     init_queue,
     merge_runs,
     queue_status,
@@ -35,9 +37,10 @@ from repro.eval import (
 )
 from repro.eval.backends import QueueBackend
 from repro.eval.backends.sqlite import _FileLock
-from repro.eval.evaluator import DEFAULT_RUNGS, rung_configs
+from repro.eval.evaluator import DEFAULT_RUNGS, Evaluator, rung_configs
 from repro.eval.experiments import default_config, experiment_cells
 from repro.eval.search import run_search
+from repro.eval.sweep import SweepPlan
 
 #: 2-thread sweep over one workload: a 2-cell grid, the cheapest real
 #: campaign (sub-second at scale 0.05).
@@ -248,6 +251,55 @@ class TestCampaignSpec:
         stored = dict(SPEC.to_dict(), engine="jit")
         with pytest.raises(ValueError, match="unknown engine 'jit'"):
             CampaignSpec.from_dict(stored)
+
+
+# ----------------------------------------------------------------------
+# serialized cell rows
+# ----------------------------------------------------------------------
+#: the workloads of the benchmark's 8-thread guided search.
+SEARCH8_WORKLOADS = ("LLLL", "LLHH", "HHHH")
+
+
+def _cell_rows(path) -> dict:
+    with sqlite3.connect(path) as conn:
+        return {(experiment, key): cell for experiment, key, cell in
+                conn.execute("SELECT experiment, key, cell FROM cells")}
+
+
+def _asdict_rows(cells) -> dict:
+    """The rows as serialized through ``dataclasses.asdict``."""
+    return {(c.experiment, c.key):
+            json.dumps(dataclasses.asdict(c), sort_keys=True)
+            for c in cells}
+
+
+class TestCellRows:
+    def test_init_rows_equal_asdict_rows(self, tmp_path):
+        spec = CampaignSpec(experiment="sweep8", scale=0.05,
+                            workloads=SEARCH8_WORKLOADS)
+        init_queue(_url(tmp_path), spec)
+        assert _cell_rows(tmp_path / "camp.db") \
+            == _asdict_rows(spec.cells())
+
+    def test_search_rows_equal_asdict_rows(self, tmp_path, monkeypatch):
+        """Every rung's cells, as a search coordinator enqueues them
+        (the drain is stubbed out, so no cell runs)."""
+        monkeypatch.setattr("repro.eval.queue.run_worker",
+                            lambda *args, **kw: WorkerReport("idle"))
+        base = default_config(0.05)
+        plan = SweepPlan.build(8, SEARCH8_WORKLOADS)
+        canonicals = [g.canonical for g in plan.groups]
+        cells = []
+        with Session(config=base, configs=rung_configs(base),
+                     store=_url(tmp_path)) as session:
+            ev = Evaluator(session, plan, DEFAULT_RUNGS,
+                           queue=session.store.backend)
+            for rung in DEFAULT_RUNGS:
+                with pytest.raises(RuntimeError, match="no recorded value"):
+                    ev.evaluate(canonicals, rung)
+                cells += ev.cells(canonicals, rung)
+        assert len(cells) == 3 * len(canonicals) * len(SEARCH8_WORKLOADS)
+        assert _cell_rows(tmp_path / "camp.db") == _asdict_rows(cells)
 
 
 # ----------------------------------------------------------------------
