@@ -182,8 +182,8 @@ def _check_threads(threads: int) -> None:
     if not 1 <= threads <= 8:
         raise _CliError(
             f"--threads must be in 1..8 (got {threads}); the design "
-            f"space grows ~3x per thread and 8 already enumerates 610 "
-            f"schemes"
+            f"space grows ~2.6x in names (2x in semantics) per thread "
+            f"and 8 already enumerates 610 schemes"
         )
 
 

@@ -157,17 +157,19 @@ class Evaluator:
     With ``queue=`` (a :class:`~repro.eval.backends.QueueBackend`, set
     up by :func:`~repro.eval.search.run_search` for fleet searches),
     evaluation is routed through the worker-pull queue instead: cells
-    are enqueued, this process drains alongside any fleet workers, and
-    values are read back from the shared store.
+    the store lacks are enqueued, this process drains alongside any
+    fleet workers, and values are read back from the shared store.
+    ``on_enqueue`` (no arguments) is called just before each enqueue.
     """
 
     def __init__(self, session, plan, rungs=DEFAULT_RUNGS, *,
-                 machine_tag: str = "", queue=None):
+                 machine_tag: str = "", queue=None, on_enqueue=None):
         self.session = session
         self.plan = plan
         self.rungs = tuple(rungs)
         self.machine_tag = machine_tag
         self.queue = queue
+        self.on_enqueue = on_enqueue
         session.machine_for(machine_tag)  # unknown tags raise early
         want = rung_configs(session.config, self.rungs)
         for tag, cfg in want.items():
@@ -227,33 +229,43 @@ class Evaluator:
             grid = self.session.run_grid(cells)
             values = dict(grid.values)
             executed, reused = grid.executed, grid.reused
+        key_of = {(c.target, c.scheme): c.key for c in cells}
         ipc = {}
         for cand in candidates:
-            vals = [values[self.plan.cell(
-                wl, cand, machine_tag=self.machine_tag,
-                config_tag=rung.tag).key] for wl in self.plan.workloads]
+            vals = [values[key_of[wl, cand]] for wl in self.plan.workloads]
             ipc[cand] = sum(vals) / len(vals)
         return EvalReport(rung=rung, ipc=ipc, values=values,
                           executed=executed, reused=reused,
                           cost=self.price(candidates, rung))
 
     def _drain_queue(self, cells):
-        """Fleet path: enqueue, drain alongside the fleet, read back."""
+        """Fleet path: read the recorded values once; enqueue only the
+        cells without one, drain them alongside the fleet and read back.
+
+        A request the store already answers does no queue work at all:
+        no enqueue, no worker, no write.  Returns ``(values, executed,
+        reused)``, ``reused`` counting the cells recorded beforehand.
+        """
         from repro.eval.queue import run_worker
 
         experiment = self.plan.experiment
-        recorded = set(self.queue.load_cells(experiment))
-        keyed = {c.key: c.to_dict() for c in cells}
-        self.queue.enqueue(experiment, keyed)
-        report = run_worker(self.queue, wait=True)
         stored = self.queue.load_cells(experiment)
-        missing = [k for k in keyed if k not in stored]
+        keys = [c.key for c in cells]
+        todo = {k: c.to_dict() for k, c in zip(keys, cells)
+                if k not in stored}
+        executed = 0
+        if todo:
+            if self.on_enqueue is not None:
+                self.on_enqueue()
+            self.queue.enqueue(experiment, todo)
+            executed = run_worker(self.queue, wait=True).executed
+            stored = self.queue.load_cells(experiment)
+        missing = [k for k in keys if k not in stored]
         if missing:
             raise RuntimeError(
                 f"queue drained but {len(missing)} cell(s) have no "
                 f"recorded value (first: {missing[0]!r}); check "
                 f"`repro-eval queue-status` for failed cells and "
                 f"`repro-eval reset-failed` to retry them")
-        values = {k: stored[k] for k in keyed}
-        reused = sum(k in recorded for k in keyed)
-        return values, report.executed, reused
+        values = {k: stored[k] for k in keys}
+        return values, executed, len(keys) - len(todo)

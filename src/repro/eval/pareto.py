@@ -9,9 +9,8 @@ follow-on the conclusions invite.  ``repro-eval sweep`` feeds it the
 paper's 16 schemes, and the guided search (:mod:`repro.eval.search`)
 re-joins it after every fidelity rung, so the join is written to stay
 cheap at thousands of points: a scheme is priced once per process
-(:func:`named_scheme_cost`), :func:`pareto_frontier` costs
-O(n log n + n*f) for a frontier of f points and
-:func:`frontier_neighborhood` O(n log n).
+(:func:`named_scheme_cost`), and :func:`pareto_frontier` and
+:func:`frontier_neighborhood` each cost O(n log n).
 """
 
 from __future__ import annotations
@@ -104,9 +103,11 @@ def design_points(avg_ipc: dict, m_clusters: int = 4,
     out = []
     for name in schemes or (["1S"] + PAPER_SCHEMES):
         name = name.upper()
-        ipc = flat.get(name, flat.get(canonical(name)))
+        ipc = flat.get(name)
         if ipc is None:
-            continue
+            ipc = flat.get(canonical(name))
+            if ipc is None:
+                continue
         c = named_scheme_cost(name, m_clusters, params)
         out.append(DesignPoint(name, ipc, c.transistors, c.gate_delays))
     return out
@@ -129,6 +130,9 @@ def _dedupe_ties(points) -> list[DesignPoint]:
                           []).append(p)
     out = []
     for tied in groups.values():
+        if len(tied) == 1:
+            out.append(tied[0])
+            continue
         rep = min(tied, key=lambda p: p.scheme)
         names = {a for p in tied for a in p.aliases}
         names.update(p.scheme for p in tied)
@@ -147,20 +151,36 @@ def pareto_frontier(points) -> list[DesignPoint]:
     lexicographically-first scheme of its tie group and carries the
     folded names on :attr:`DesignPoint.aliases`.
 
-    Points are scanned in (transistors, gate_delays, -ipc) order: any
-    dominator of a point sorts strictly before it, and by transitivity a
-    dominated point is always dominated by some *frontier* member, so
-    each point needs checking against the accumulated frontier only -
-    O(n log n + n*f) instead of the naive all-pairs O(n^2), which
-    matters for the enumerated sweep spaces (hundreds to thousands of
-    design points).
+    Points are scanned in (transistors, gate_delays, -ipc) order, so
+    any dominator of a point sorts strictly before it.  Conversely,
+    after the tie dedup every earlier point with at most the point's
+    gate delays and at least its IPC is a dominator (it is no costlier
+    in transistors, and an equal-cost one has strictly more IPC).  A
+    prefix-max tree over gate-delay ranks holds the frontier so far, so
+    each point costs one O(log n) query and the scan O(n log n).  A NaN
+    IPC never enters the tree and is never dominated.
     """
     ordered = sorted(_dedupe_ties(points),
                      key=lambda p: (p.transistors, p.gate_delays, -p.ipc))
+    rank = {d: i + 1 for i, d in enumerate(
+        sorted({p.gate_delays for p in ordered}))}
+    # Fenwick prefix max of frontier IPC; NaN marks an empty node,
+    # because no comparison with it holds
+    tree = [float("nan")] * (len(rank) + 1)
     front: list[DesignPoint] = []
     for p in ordered:
-        if not any(q.dominates(p) for q in front):
-            front.append(p)
+        ipc, i = p.ipc, rank[p.gate_delays]
+        j = i
+        while j and not tree[j] >= ipc:
+            j -= j & -j
+        if j:
+            continue                       # an earlier point dominates p
+        front.append(p)
+        if ipc == ipc:                     # a NaN IPC never enters
+            while i < len(tree):
+                if not tree[i] >= ipc:
+                    tree[i] = ipc
+                i += i & -i
     return sorted(front, key=lambda p: (p.transistors, -p.ipc))
 
 

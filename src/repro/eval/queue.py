@@ -266,13 +266,13 @@ def init_queue(store, spec: CampaignSpec) -> "QueueStatus":
     """Create (or re-open) a queue campaign and enqueue its open cells.
 
     Stamps the store with the campaign fingerprint and spec; enqueuing
-    is idempotent (a second init adds nothing, keeps worker progress)
-    and re-initializing with a *different* spec is rejected — one queue
-    is one campaign.  Cells whose values are already recorded (e.g.
-    after ``repro-eval merge queue:... old-run/`` migrated a previous
-    run in) start out done, so only the remaining work is open.  The
-    grid is built before the first write, so a spec whose grid cannot
-    be built leaves the store as it was.
+    is idempotent (a second init adds nothing, keeps worker progress,
+    and rewrites no stored spec) and re-initializing with a *different*
+    spec is rejected — one queue is one campaign.  Cells whose values
+    are already recorded (e.g. after ``repro-eval merge queue:...
+    old-run/`` migrated a previous run in) start out done, so only the
+    remaining work is open.  The grid is built before the first write,
+    so a spec whose grid cannot be built leaves the store as it was.
     """
     by_experiment: dict[str, dict[str, dict]] = {}
     for cell in spec.cells():
@@ -281,12 +281,13 @@ def init_queue(store, spec: CampaignSpec) -> "QueueStatus":
     backend = _as_queue(store)
     open_store(backend, spec.fingerprint())
     existing = backend.load_campaign()
-    if existing is not None and existing != spec.to_dict():
+    if existing is None:
+        backend.save_campaign(spec.to_dict())
+    elif existing != spec.to_dict():
         raise ValueError(
             f"queue {backend.url!r} already holds a different campaign "
             f"({existing.get('experiment')!r}); one queue is one "
             f"campaign — use a fresh queue:PATH.db")
-    backend.save_campaign(spec.to_dict())
     enqueued = sum(backend.enqueue(experiment, keyed)
                    for experiment, keyed in sorted(by_experiment.items()))
     return QueueStatus.read(backend, enqueued=enqueued)

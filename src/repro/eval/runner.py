@@ -118,9 +118,11 @@ def check_tag(kind: str, tag: str, *, empty_ok: bool) -> None:
     Whether the empty tag (the campaign default) is allowed is the
     caller's rule.
     """
-    if not tag and not empty_ok:
+    if not tag:
+        if empty_ok:
+            return
         raise ValueError(f"bad {kind} tag {tag!r}: tags are non-empty")
-    if any(sep in tag for sep in ":@%"):
+    if ":" in tag or "@" in tag or "%" in tag:
         raise ValueError(
             f"bad {kind} tag {tag!r}: tags must not contain ':', '@' or "
             f"'%' (these delimiters delimit cell keys, so two different "

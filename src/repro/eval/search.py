@@ -42,10 +42,11 @@ finished cell is reused from the store (its fidelity tag is part of the
 cell key) and the schedule replays to where it died.
 
 **Fleet draining.**  With a ``queue:`` store and a ``queue_spec``, each
-rung's cells are enqueued and drained through the worker-pull queue —
-the coordinator works alongside any number of ``repro-eval worker
---follow`` processes, which keep polling between rungs until the
-coordinator marks the search done in the store manifest.
+rung's unrecorded cells are enqueued and drained through the
+worker-pull queue — the coordinator works alongside any number of
+``repro-eval worker --follow`` processes, which keep polling between
+rungs until the coordinator marks the search done in the store
+manifest.  A replay of a finished search enqueues and writes nothing.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ import random
 
 from repro.eval.evaluator import DEFAULT_RUNGS, Evaluator
 from repro.eval.pareto import (
+    _dedupe_ties,
     design_points,
     frontier_neighborhood,
     pareto_frontier,
@@ -190,10 +192,12 @@ class SearchReport:
         return len(self.evaluated_full) / self.exhaustive_units
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
+        d = dict(vars(self))
         d["workloads"] = list(self.workloads)
         d["rungs"] = [list(r) for r in self.rungs]
+        d["schedule"] = [dict(e) for e in self.schedule]
         d["evaluated_full"] = list(self.evaluated_full)
+        d["frontier"] = [dict(p) for p in self.frontier]
         d["full_fraction"] = round(self.full_fraction, 4)
         return d
 
@@ -296,7 +300,6 @@ def run_search(session, n_threads: int = 4, workloads=None, *,
                              "queue:PATH.db store")
         queue = session.store.backend
         init_queue(queue, queue_spec)
-        session.store.update_manifest(experiment, search_status="running")
 
     exhaustive = (not evolve
                   and (budget_units is None
@@ -306,7 +309,11 @@ def run_search(session, n_threads: int = 4, workloads=None, *,
             "a capped budget needs at least one reduced rung to screen "
             "on; pass rungs like '0.05,0.25,1' or raise the budget")
 
-    ev = Evaluator(session, plan, rungs, machine_tag=machine, queue=queue)
+    # a search is running once it has cells to drain (the merge is a
+    # no-op after the first), so a replay of a finished one writes nothing
+    ev = Evaluator(session, plan, rungs, machine_tag=machine, queue=queue,
+                   on_enqueue=lambda: session.store.update_manifest(
+                       experiment, search_status="running"))
     member_to_canon = {m: g.canonical for g in plan.groups
                        for m in g.members}
     all_canons = [g.canonical for g in plan.groups]
@@ -410,8 +417,9 @@ def run_search(session, n_threads: int = 4, workloads=None, *,
         groups = plan.subset(candidates).groups
         points = _group_points(plan, groups, ipc_now,
                                machine_obj.n_clusters, cost_params)
-        front = _canonicals_of(pareto_frontier(points), member_to_canon)
-        hood = _canonicals_of(frontier_neighborhood(points, eps),
+        deduped = _dedupe_ties(points)
+        front = _canonicals_of(pareto_frontier(deduped), member_to_canon)
+        hood = _canonicals_of(frontier_neighborhood(deduped, eps),
                               member_to_canon)
         if ipc_prev is None:
             stable = set(hood)

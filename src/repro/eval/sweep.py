@@ -39,7 +39,7 @@ whatever is measured so far, without ever re-stating the enumeration or
 the join.
 
 The grammar grows fast - 17 names (12 semantics) at 4 threads, 89 at 6,
-610 at 8, ~2600 at 10 - which is what the parallel/cached/resumable grid
+610 at 8, 4,181 at 10 - which is what the parallel/cached/resumable grid
 machinery (and the guided search) is for.
 """
 
@@ -290,16 +290,14 @@ def assemble_sweep(plan: SweepPlan, values, machine=None, *,
     wls = list(plan.workloads)
     groups = plan.groups
     cells = plan.cells(machine_tag=machine_tag, config_tag=config_tag)
+    key_of = {(c.target, c.scheme): c.key for c in cells}
 
     # join: average IPC per semantics over the selected workloads, then
     # expand to every member name with its own hardware cost.
     avg_ipc = {}
     labels = {}
     for group in groups:
-        vals = [values[plan.cell(wl, group.canonical,
-                                 machine_tag=machine_tag,
-                                 config_tag=config_tag).key]
-                for wl in wls]
+        vals = [values[key_of[wl, group.canonical]] for wl in wls]
         label = ",".join(group.members)
         labels[group.canonical] = label
         avg_ipc[label] = sum(vals) / len(vals)

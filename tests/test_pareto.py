@@ -1,5 +1,7 @@
 """Pareto / recommendation utilities (the Section 5.2 walk, mechanized)."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -200,6 +202,62 @@ class TestFrontierProperties:
         again = pareto_frontier(front)
         assert again == front
         assert [p.aliases for p in again] == [p.aliases for p in front]
+
+
+def _front_scan(points):
+    """The frontier by checking each point, in (transistors,
+    gate_delays, -ipc) order, against every frontier member so far."""
+    ordered = sorted(_dedupe_ties(points),
+                     key=lambda p: (p.transistors, p.gate_delays, -p.ipc))
+    front = []
+    for p in ordered:
+        if not any(q.dominates(p) for q in front):
+            front.append(p)
+    return sorted(front, key=lambda p: (p.transistors, -p.ipc))
+
+
+#: planes with NaN, infinite and negative IPCs and few distinct
+#: coordinates, so equal-(transistors, ipc) points are common.
+_ODD_POINTS = st.lists(
+    st.builds(
+        DesignPoint,
+        scheme=st.sampled_from([f"s{i}" for i in range(6)]),
+        ipc=st.one_of(st.sampled_from([float("nan"), -1.0, -0.0, 0.0,
+                                       2.0, float("-inf")]),
+                      st.floats()),
+        transistors=st.integers(min_value=0, max_value=4),
+        gate_delays=st.integers(min_value=0, max_value=3),
+    ),
+    min_size=1, max_size=24,
+)
+
+
+class TestFrontierEqualsFrontScan:
+    @given(points=st.one_of(_POINTS, _ODD_POINTS))
+    def test_same_list_order_and_aliases(self, points):
+        """The prefix-max sweep returns what the front scan returns,
+        and never calls ``DesignPoint.dominates``."""
+        want = _front_scan(points)
+        with mock.patch.object(DesignPoint, "dominates",
+                               side_effect=AssertionError("called")):
+            got = pareto_frontier(points)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.scheme, g.transistors, g.gate_delays, g.aliases) \
+                == (w.scheme, w.transistors, w.gate_delays, w.aliases)
+            assert g.ipc is w.ipc or g.ipc == w.ipc
+
+    def test_nan_and_negative_ipc(self):
+        nan = DesignPoint("n", float("nan"), 5, 1)
+        low = DesignPoint("l", -2.0, 1, 1)
+        worse = DesignPoint("w", -3.0, 5, 2)
+        tied = DesignPoint("t", -2.0, 1, 0)
+        front = pareto_frontier([nan, low, worse, tied])
+        # a NaN IPC neither dominates nor is dominated; an equal-IPC
+        # point with fewer gate delays dominates ``low``
+        assert [p.scheme for p in front] == ["t", "n"]
+        assert [p.scheme for p in _front_scan([nan, low, worse, tied])] \
+            == ["t", "n"]
 
 
 #: the eps values the guided search uses (0.05 is its default), plus

@@ -532,6 +532,129 @@ class TestWorkerLoop:
 
 
 # ----------------------------------------------------------------------
+# a search replay is a store read
+# ----------------------------------------------------------------------
+#: a capped 4-thread search over two workloads: all three rungs run.
+SEARCH4_SPEC = CampaignSpec(
+    experiment="sweep4", scale=0.04, kind="search",
+    workloads=("LLLL", "HHHH"),
+    configs=tuple((r.tag, r.scale) for r in DEFAULT_RUNGS if r.tag))
+
+
+def _search4(url):
+    base = default_config(0.04)
+    with Session(config=base, configs=rung_configs(base),
+                 store=url) as session:
+        result, report = run_search(session, 4, ["LLLL", "HHHH"],
+                                    budget=0.5, queue_spec=SEARCH4_SPEC)
+    return json.loads(result.to_json()), report
+
+
+def _change_counter(path) -> bytes:
+    """SQLite's file-change counter (header bytes 24-27)."""
+    with open(path, "rb") as f:
+        return f.read(28)[24:]
+
+
+class TestSearchReplay:
+    def _spy(self, monkeypatch):
+        """Record SQL statements, lockfile entries, drains, enqueued
+        keys and the search status seen by each claim."""
+        seen = {"sql": [], "locks": [], "drains": [], "enqueued": [],
+                "status_at_claim": []}
+        connect = sqlite3.connect
+
+        def traced_connect(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            conn.set_trace_callback(seen["sql"].append)
+            return conn
+
+        enter = _FileLock.__enter__
+
+        def counted_enter(self):
+            seen["locks"].append(self.path)
+            return enter(self)
+
+        worker = run_worker
+
+        def counted_worker(*args, **kwargs):
+            report = worker(*args, **kwargs)
+            seen["drains"].append(report.keys)
+            return report
+
+        enqueue, claim = QueueBackend.enqueue, QueueBackend.claim
+
+        def recorded_enqueue(self, experiment, cells):
+            seen["enqueued"].append(sorted(cells))
+            return enqueue(self, experiment, cells)
+
+        def observed_claim(self, *args, **kwargs):
+            entry = self.load_manifest()["experiments"].get("search4", {})
+            seen["status_at_claim"].append(entry.get("search_status"))
+            return claim(self, *args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", traced_connect)
+        monkeypatch.setattr(_FileLock, "__enter__", counted_enter)
+        monkeypatch.setattr("repro.eval.queue.run_worker", counted_worker)
+        monkeypatch.setattr(QueueBackend, "enqueue", recorded_enqueue)
+        monkeypatch.setattr(QueueBackend, "claim", observed_claim)
+        return seen
+
+    def test_replay_of_a_finished_search_writes_nothing(
+            self, tmp_path, monkeypatch):
+        url = _url(tmp_path)
+        first, report = _search4(url)
+        assert sum(e["executed"] for e in report.schedule) > 0
+        counter = _change_counter(tmp_path / "camp.db")
+        seen = self._spy(monkeypatch)
+        again, replay = _search4(url)
+        writes = [s for s in seen["sql"] if s.split()[0].upper()
+                  in ("INSERT", "UPDATE", "DELETE", "BEGIN")]
+        assert writes == []
+        assert seen["sql"], "the replay must read the store"
+        assert seen["locks"] == []
+        assert seen["drains"] == [] and seen["enqueued"] == []
+        assert _change_counter(tmp_path / "camp.db") == counter
+        assert sum(e["executed"] for e in replay.schedule) == 0
+        assert [e["reused"] for e in replay.schedule] \
+            == [e["executed"] + e["reused"] for e in report.schedule]
+        for art in (first, again):
+            for entry in art["meta"]["search"]["schedule"]:
+                del entry["executed"], entry["reused"]
+        assert again == first
+
+    def test_resume_enqueues_and_drains_only_the_missing_keys(
+            self, tmp_path, monkeypatch):
+        url = _url(tmp_path)
+        first, _ = _search4(url)
+        path = tmp_path / "camp.db"
+        with sqlite3.connect(path) as conn:
+            rung = sorted(k for (k,) in conn.execute(
+                "SELECT key FROM cells WHERE experiment = 'sweep4'")
+                if k.endswith("%f0.25"))
+            lost = rung[::2]
+            conn.executemany(
+                "DELETE FROM cells WHERE experiment = 'sweep4' "
+                "AND key = ?", [(k,) for k in lost])
+        conn.close()
+        assert 0 < len(lost) < len(rung)
+        seen = self._spy(monkeypatch)
+        again, report = _search4(url)
+        assert seen["enqueued"] == [lost]
+        assert [sorted(keys) for keys in seen["drains"]] == [lost]
+        assert seen["status_at_claim"][0] == "running"
+        assert sum(e["executed"] for e in report.schedule) == len(lost)
+        backend = QueueBackend(str(path))
+        status = backend.load_manifest()["experiments"]["search4"]
+        backend.close()
+        assert status["search_status"] == "done"
+        for art in (first, again):
+            for entry in art["meta"]["search"]["schedule"]:
+                del entry["executed"], entry["reused"]
+        assert again == first
+
+
+# ----------------------------------------------------------------------
 # drain identity + migration (the acceptance path)
 # ----------------------------------------------------------------------
 class TestDrainIdentity:
