@@ -185,11 +185,11 @@ def measure_campaign(config, machines=CAMPAIGN_MACHINES,
     """Time one campaign sweep: serial fast vs grouped batch.
 
     Builds the ``machines`` x Table 2 workloads x 17-scheme grid, runs
-    it once per engine strategy — a per-cell fast loop (what a serial
+    it once per engine strategy — a per-cell fast loop (what every
     campaign runs) vs one grouped ``run_workloads_batch`` call with ST
-    cells run solo on fast (what the batch runner does) — and reports
-    cells/second for each.  Every cell's IPC must agree between the two
-    runs, so the comparison is pure wall-clock.
+    cells run solo on fast — and reports cells/second for each.  Every
+    cell's IPC must agree between the two runs, so the comparison is
+    pure wall-clock.
 
     Run this at campaign scale (``--scale 0.1``-ish): short cells are
     the batch engine's operating regime — python dispatch per cell is
@@ -222,7 +222,7 @@ def measure_campaign(config, machines=CAMPAIGN_MACHINES,
         t0 = time.perf_counter()
         results = run_workloads_batch([t for _, t in multi], config)
         for (i, (p, s)), res in zip(multi, results):
-            if res is None:  # unbatchable cell: runner falls back to fast
+            if res is None:  # unbatchable cell: falls back to fast
                 res = run_workload(p, s, fast_cfg)
             batch_ipc[i] = res.ipc
         for i, (p, s) in solo:

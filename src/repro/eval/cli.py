@@ -113,8 +113,9 @@ def _add_sim_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--engine", default="fast",
                     choices=sorted(ENGINES),
                     help="simulation engine: 'fast' (default), "
-                         "'batch' (lockstep groups on --jobs 1 grids) "
-                         "or 'reference' — all bit-identical, the "
+                         "'batch' (each cell on the fast engine, kept "
+                         "for existing stores and campaign specs) or "
+                         "'reference' — all bit-identical, the "
                          "reference is the executable specification")
     ap.add_argument("--jobs", "-j", type=int, default=1,
                     help="worker processes for simulation grids (default 1)")

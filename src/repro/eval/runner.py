@@ -21,12 +21,11 @@ inline path run whichever engine the experiment requested; cell values
 are engine-agnostic because engines are bit-identical (the store
 fingerprint therefore ignores the engine field).
 
-Inline, ``config.engine == "batch"`` runs the pending cells as
-lockstep groups (:func:`run_cells_batch`); everywhere else — and in
-every pool worker, where ``BatchEngine`` delegates a single cell to
-``FastEngine`` — each cell is one simulation.  Results, store writes
-and resume are the same on every path: same keys, same values,
-bit-identical.
+Each pending cell is one simulation (:func:`run_cell_detailed`) on
+every engine and every path — inline, in a pool worker or in a queue
+worker.  ``--engine batch`` runs each cell on ``FastEngine``
+(``BatchEngine`` is its per-cell subclass), so its values, store
+writes and resume are the same as the fast engine's, bit for bit.
 """
 
 from __future__ import annotations
@@ -207,49 +206,15 @@ def run_cell_detailed(cell: Cell, config, programs: ProgramSet
     ``(ipc, meta)``.
 
     ``meta`` is diagnostic provenance for the cell — the engine that ran
-    it plus its :class:`~repro.sim.engine.EngineStats` counters (batch
-    group activity) — so a result store can explain how a cell ran.  It
-    is never part of the cell's value: engines are bit-identical, and
-    stores ignore metadata for resume/merge purposes.
+    it plus its :class:`~repro.sim.engine.EngineStats` counters — so a
+    result store can explain how a cell ran.  It is never part of the
+    cell's value: engines are bit-identical, and stores ignore metadata
+    for resume/merge purposes.
     """
     cfg = _VARIANTS[cell.variant](config)
     result = run_workload(programs.of(cell), cell.scheme, cfg)
     meta = {"engine": cfg.engine, "engine_stats": result.engine_stats}
     return result.ipc, meta
-
-
-def run_cells_batch(cells, config, programs: ProgramSet) -> list:
-    """Run a list of cells as lockstep groups; returns per-cell triples.
-
-    The inline path of ``--engine batch``: cells are grouped by config
-    variant (the only axis that changes the shared
-    :class:`~repro.sim.SimConfig` inside one ``run_cells`` invocation —
-    machine and config tags are already resolved by then) and each
-    group advances in one array-structured lockstep simulation.  A cell
-    the lockstep loop cannot model falls back to the solo path, which
-    for the batch engine delegates to the per-cell fast engine.  Returns
-    ``(key, ipc, meta)`` per cell, in input order; every value is
-    bit-identical to the same cell run alone.
-    """
-    from repro.sim.batch import run_workloads_batch
-
-    cells = list(cells)
-    by_variant: dict[str, list[Cell]] = {}
-    for cell in cells:
-        by_variant.setdefault(cell.variant, []).append(cell)
-    out: dict[str, tuple] = {}
-    for variant, vcells in by_variant.items():
-        cfg = _VARIANTS[variant](config)
-        tasks = [(programs.of(cell), cell.scheme) for cell in vcells]
-        results = run_workloads_batch(tasks, cfg)
-        for cell, res in zip(vcells, results):
-            if res is None:  # straggler: per-cell fallback (solo fast)
-                value, meta = run_cell_detailed(cell, config, programs)
-                out[cell.key] = (cell.key, value, meta)
-            else:
-                meta = {"engine": "batch", "engine_stats": res.engine_stats}
-                out[cell.key] = (cell.key, res.ipc, meta)
-    return [out[c.key] for c in cells]
 
 
 # -- worker-side state (set once per pool worker) -------------------------
@@ -315,10 +280,7 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
             store.record_cell(experiment, key, value, meta)
 
     programs = ProgramSet(machine)
-    if config.engine == "batch" and jobs <= 1 and len(pending) > 1:
-        for key, value, meta in run_cells_batch(pending, config, programs):
-            record(key, value, meta)
-    elif jobs <= 1 or len(pending) <= 1:
+    if jobs <= 1 or len(pending) <= 1:
         for cell in pending:
             record(cell.key, *run_cell_detailed(cell, config, programs))
     else:

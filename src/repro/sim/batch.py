@@ -1,15 +1,18 @@
-"""Batch engine: array-structured lockstep simulation of cell groups.
+"""Grouped lockstep simulation of cell groups (a library).
 
-The per-cell engine (:class:`~repro.sim.engine.FastEngine`) accelerates
-*one* cell at a time; every campaign still pays the Python interpreter
-once per simulated cycle per cell.  :class:`BatchEngine` amortizes that
-cost *across* the campaign: :func:`run_workloads_batch` takes a group of
-independent cells — mixed machines and schemes are fine, only the
-:class:`~repro.sim.SimConfig` must be shared — and steps them in
-lockstep with array-structured state: per-cell cycle counters, fetch
-cursors, cache tag arrays and ready masks laid out as numpy arrays, so
-one Python-level loop iteration advances every active cell by at least
-one cycle.
+:func:`run_workloads_batch` takes a group of independent cells — mixed
+machines and schemes are fine, only the :class:`~repro.sim.SimConfig`
+must be shared — and steps them in lockstep with array-structured
+state: per-cell cycle counters, fetch cursors, cache tag arrays and
+ready masks laid out as numpy arrays, so one Python-level loop
+iteration advances every active cell by at least one cycle.
+
+No program path calls it: ``--engine batch`` runs every cell, inline
+or in a pool or queue worker, on
+:class:`~repro.sim.engine.BatchEngine`, which is ``FastEngine`` under
+the ``batch`` name.  This module and :mod:`repro.sim.native` remain
+for their differential suite (``tests/test_batch_engine.py``) and the
+campaign benchmark harness, which still reach them.
 
 Bit-identity is preserved by transcription, not approximation: the
 lockstep loop replays exactly the reference semantics per cell —
@@ -40,10 +43,8 @@ transcriptions of the numpy paths, which remain as fallbacks (and can
 be forced with ``REPRO_NO_NATIVE=1``).
 
 numpy is an *optional* dependency: importing this module is always
-safe, and :class:`BatchEngine` on a single cell delegates to an
-internal :class:`~repro.sim.engine.FastEngine` (no numpy needed).  Only
-the grouped path (:func:`run_workloads_batch`) requires numpy and
-raises a clear error when it is missing.
+safe.  Only :func:`run_workloads_batch` requires numpy and raises a
+clear error when it is missing.
 """
 
 from __future__ import annotations
@@ -52,11 +53,11 @@ import random
 import warnings
 
 from repro.merge.registry import get_scheme
-from repro.sim.engine import ENGINES, Engine, EngineStats, FastEngine
+from repro.sim.engine import EngineStats
 from repro.sim.os_sched import RunResult
 from repro.sim.stats import SimStats
 
-__all__ = ["BatchEngine", "run_workloads_batch"]
+__all__ = ["run_workloads_batch"]
 
 #: records materialized per stream refill.
 CHUNK = 4096
@@ -71,8 +72,8 @@ def _numpy():
         import numpy
     except ImportError as exc:  # pragma: no cover - numpy present in CI
         raise ImportError(
-            "the batch engine's grouped lockstep path needs numpy; "
-            "install numpy or run with --engine fast/reference"
+            "run_workloads_batch needs numpy; install numpy (the "
+            "'batch' extra)"
         ) from exc
     return numpy
 
@@ -115,34 +116,6 @@ class _BatchCache:
     def miss_rate(self) -> float:
         n = self.accesses
         return self.misses / n if n else 0.0
-
-
-class BatchEngine(Engine):
-    """Lockstep groups; solo cells run on the fast engine.
-
-    As a plain per-core engine (``MTCore(engine="batch")``) it delegates
-    to an internal :class:`FastEngine` — a group of one gains nothing
-    from arrays, and delegation keeps the solo path bit-identical by
-    construction.  The grouped lockstep path is
-    :func:`run_workloads_batch`, which the eval runner and queue workers
-    use to advance many compatible cells per Python-level iteration.
-    """
-
-    name = "batch"
-
-    def __init__(self):
-        self._solo = FastEngine()
-
-    def run(self, core, max_cycles: int, instr_limit: int | None = None) -> str:
-        return self._solo.run(core, max_cycles, instr_limit)
-
-    def engine_stats(self) -> EngineStats:
-        st = self._solo.engine_stats()
-        st.engine = self.name
-        st.batch_cells = 0
-        st.batch_groups = 0
-        st.batch_fallback_cells = 1
-        return st
 
 
 class _TagCache:
@@ -408,7 +381,7 @@ class _CellCtl:
 
 
 class _LockstepSim:
-    """The array-structured group simulator behind the batch engine."""
+    """The array-structured group simulator behind run_workloads_batch."""
 
     def __init__(self, config, np):
         if config.max_cycles is not None and config.max_cycles <= 0:
@@ -1209,6 +1182,3 @@ def run_workloads_batch(tasks, config=None):
         # arrays are freed on return, not at the next cyclic collection.
         sim.ctls.clear()
     return out
-
-
-ENGINES[BatchEngine.name] = BatchEngine

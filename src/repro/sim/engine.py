@@ -7,8 +7,7 @@ the core's :class:`~repro.sim.thread.ThreadState` contexts, caches,
 scheduler can drive any engine across timeslices and context switches
 without knowing which one is plugged in.
 
-Two per-cell implementations ship here (the grouped lockstep engine
-lives in :mod:`repro.sim.batch`):
+Two per-cell implementations ship here, plus the ``batch`` name:
 
 * :class:`ReferenceEngine` — the executable specification: a literal
   cycle-by-cycle loop (fetch, merge via the recursive scheme AST, issue)
@@ -44,6 +43,12 @@ lives in :mod:`repro.sim.batch`):
      function over the ready ports' packed summaries, with a
      precomputed pair table answering two-ready cycles in one predicate.
 
+* :class:`BatchEngine` — ``FastEngine`` under the ``batch`` name, which
+  stores, queue campaign specs and ``--engine batch`` carry.  Every cell
+  is one simulation on every path; the grouped lockstep simulator
+  (:func:`repro.sim.batch.run_workloads_batch`) is a library that no
+  program path calls.
+
 Every engine reports an :class:`EngineStats` snapshot
 (:meth:`Engine.engine_stats`), which the eval layer surfaces as cell
 metadata so campaign stores record which engine ran a cell and how.
@@ -60,6 +65,7 @@ from repro.merge.packet import ExecPacket
 from repro.sim.cache import Cache, PerfectCache
 
 __all__ = [
+    "BatchEngine",
     "ENGINES",
     "Engine",
     "EngineStats",
@@ -78,8 +84,9 @@ class EngineStats:
     """
 
     engine: str
-    #: grouped-lockstep activity (batch engine only, zeros elsewhere):
-    #: cells sharing this cell's group, groups run, solo fallbacks.
+    #: grouped-lockstep activity: cells sharing this cell's group, groups
+    #: run, solo fallbacks.  Only ``run_workloads_batch`` results count
+    #: groups; ``BatchEngine`` reports each cell as one solo fallback.
     batch_cells: int = 0
     batch_groups: int = 0
     batch_fallback_cells: int = 0
@@ -672,10 +679,30 @@ class FastEngine(Engine):
         return "limit" if finished else "timeslice"
 
 
+class BatchEngine(FastEngine):
+    """``FastEngine`` under the ``batch`` name: one cell per simulation.
+
+    ``--engine batch`` runs each cell here on every path — inline grids,
+    ``--jobs N`` pool tasks and queue claims — so its values are the
+    fast engine's.  The grouped lockstep simulator
+    (:func:`repro.sim.batch.run_workloads_batch`) stays a library for
+    its differential suite and the benchmark harness; nothing in the
+    program calls it.  Its stats report the cell as a solo fallback.
+    """
+
+    name = "batch"
+
+    def engine_stats(self) -> EngineStats:
+        st = super().engine_stats()
+        st.batch_fallback_cells = 1
+        return st
+
+
 #: engine registry, keyed by CLI/config name.
 ENGINES: dict[str, type[Engine]] = {
     ReferenceEngine.name: ReferenceEngine,
     FastEngine.name: FastEngine,
+    BatchEngine.name: BatchEngine,
 }
 
 

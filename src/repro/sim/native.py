@@ -1,10 +1,14 @@
-"""Optional native kernels for the batch engine's innermost loops.
+"""Optional native kernels for the lockstep group simulator's inner loops.
 
-The lockstep group simulator (:mod:`repro.sim.batch`) is bound by numpy
-*call* overhead, not element work: a wave over hundreds of cells issues
-hundreds of small array operations, and the two cache probes plus the
-merge selection dominate.  Both are tiny, branchy, sequential loops —
-exactly what a C compiler is good at and numpy is not.
+Like :mod:`repro.sim.batch`, this is a library that no program path
+calls; its differential suite and the campaign benchmark harness still
+reach it.
+
+The lockstep group simulator is bound by numpy *call* overhead, not
+element work: a wave over hundreds of cells issues hundreds of small
+array operations, and the two cache probes plus the merge selection
+dominate.  Both are tiny, branchy, sequential loops — exactly what a
+C compiler is good at and numpy is not.
 
 This module compiles two kernels with the system C compiler the first
 time a batch group runs:
@@ -22,8 +26,8 @@ first-minimum way choice; the merge program implements the identical
 pass-through / merge / keep-left step semantics.
 
 Everything is best-effort: no compiler, a failed compile, an unloadable
-library, or ``REPRO_NO_NATIVE=1`` all yield ``None`` and the batch
-engine silently stays on its pure-numpy paths.  The shared object is
+library, or ``REPRO_NO_NATIVE=1`` all yield ``None`` and the lockstep
+simulator silently stays on its pure-numpy paths.  The shared object is
 cached under ``$REPRO_CACHE_DIR/native`` when that variable is set,
 else under a per-user temp directory, keyed by the digest of the C
 source so editing the kernels invalidates stale builds.

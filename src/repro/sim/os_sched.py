@@ -30,10 +30,9 @@ class RunResult:
 
     ``engine_stats`` is the engine's acceleration-counter snapshot
     (:meth:`repro.sim.engine.EngineStats.as_dict`): the engine's name
-    and, for the batch engine, its lockstep-group counters.  It is
-    diagnostic metadata — never part of the bit-identity contract
-    between engines — recorded so result stores can explain how a cell
-    ran.
+    and its lockstep-group counters.  It is diagnostic metadata — never
+    part of the bit-identity contract between engines — recorded so
+    result stores can explain how a cell ran.
     """
 
     stats: object

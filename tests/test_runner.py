@@ -72,18 +72,35 @@ class TestParallelEqualsSerial:
         assert serial.rows == parallel.rows
         assert serial.meta == parallel.meta
 
-    def test_batch_grid_in_a_pool_equals_inline_groups(self, machine):
-        """With ``jobs=2`` a batch grid goes to the pool one cell per
-        task, where ``BatchEngine`` runs each cell on ``FastEngine``;
-        the values equal the inline lockstep groups' exactly."""
-        pytest.importorskip("numpy")
+    def test_batch_grid_runs_each_cell_on_fast(self, machine, tmp_path,
+                                                monkeypatch):
+        """An inline (``jobs=1``) ``engine="batch"`` grid runs each cell
+        as one fast-engine simulation, never a lockstep group: its
+        values equal ``engine="fast"``'s and a ``jobs=2`` pool's, and
+        each cell's meta names the batch engine."""
+        from repro.sim import batch
+
+        def no_groups(*args, **kwargs):
+            raise AssertionError("a grid ran a lockstep group")
+
+        monkeypatch.setattr(batch, "run_workloads_batch", no_groups)
         config = default_config(0.03, engine="batch")
         cells = [Cell("fig4", "workload", wl, s)
                  for wl in ("LLLL", "HHHH") for s in ("ST", "1S", "3SSS")]
-        inline = run_cells(cells, config, machine)
+        store = open_store(tmp_path / "r")
+        inline = run_cells(cells, config, machine, store=store)
+        fast = run_cells(cells, dataclasses.replace(config, engine="fast"),
+                         machine)
         pooled = run_cells(cells, config, machine, jobs=2)
-        assert pooled.executed == inline.executed == len(cells)
-        assert pooled.values == inline.values
+        assert inline.executed == pooled.executed == len(cells)
+        assert inline.values == fast.values == pooled.values
+        meta = store.load_cell_meta("fig4")
+        assert set(meta) == {c.key for c in cells}
+        for entry in meta.values():
+            assert entry["engine"] == "batch"
+            assert entry["engine_stats"] == {
+                "engine": "batch", "batch_cells": 0, "batch_groups": 0,
+                "batch_fallback_cells": 1}
 
 
 class TestSharedWalks:
