@@ -188,10 +188,18 @@ def _check_threads(threads: int) -> None:
         )
 
 
-def _parse_workloads(text: str | None) -> list[str] | None:
+def _parse_list(text: str | None, *, upper: bool = False
+                ) -> list[str] | None:
+    """Split a comma-separated option value (``None`` when unset).
+
+    ``upper=True`` upper-cases the items, for Table 2 workload names;
+    machine tags stay as given, since presets such as ``2c4w`` are
+    lower-case.
+    """
     if not text:
         return None
-    return [w.strip().upper() for w in text.split(",") if w.strip()]
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    return [t.upper() for t in items] if upper else items
 
 
 def _parse_shard(text: str) -> tuple[int, int]:
@@ -299,7 +307,7 @@ def _cmd_sweep(argv) -> int:
         print(candidate_table(args.threads, machine).render())
         return 0
 
-    workloads = _parse_workloads(args.workloads)
+    workloads = _parse_list(args.workloads, upper=True)
     shard = _parse_shard(args.shard) if args.shard else None
     with _open_session(args, machine=machine,
                        config=_base_config(args)) as session:
@@ -393,7 +401,7 @@ def _cmd_search(argv) -> int:
         rungs = rungs_from_spec(args.rungs)
     except ValueError as exc:
         raise _CliError(f"bad --rungs: {exc}") from None
-    workloads = _parse_workloads(args.workloads)
+    workloads = _parse_list(args.workloads, upper=True)
     base = _base_config(args)
     with _open_session(args, machine=paper_machine(), config=base,
                        configs=rung_configs(base, rungs)) as session:
@@ -468,7 +476,7 @@ def _cmd_matrix(argv) -> int:
     _add_sim_args(ap)
     args = ap.parse_args(argv)
 
-    tags = [t.strip() for t in args.machines.split(",") if t.strip()]
+    tags = _parse_list(args.machines) or []
     if len(tags) < 2:
         raise _CliError(
             f"--machines needs at least two presets to form a matrix "
@@ -486,8 +494,7 @@ def _cmd_matrix(argv) -> int:
         if not is_sweep:
             raise _CliError("--workloads only applies to sweep "
                             "experiments (-e sweep / -e sweepN)")
-        kw["workloads"] = [w.strip().upper()
-                           for w in args.workloads.split(",") if w.strip()]
+        kw["workloads"] = _parse_list(args.workloads, upper=True)
     if is_sweep:
         kw["budget_transistors"] = args.budget_transistors
         kw["budget_gate_delays"] = args.budget_gate_delays
@@ -602,14 +609,8 @@ def _cmd_queue_init(argv) -> int:
                     help="simulation engine for every cell")
     args = ap.parse_args(argv)
 
-    workloads = None
-    if args.workloads:
-        workloads = tuple(w.strip().upper()
-                          for w in args.workloads.split(",") if w.strip())
-    machines = ()
-    if args.machines:
-        machines = tuple(t.strip()
-                         for t in args.machines.split(",") if t.strip())
+    workloads = _parse_list(args.workloads, upper=True)
+    machines = _parse_list(args.machines) or ()
     _base_config(args)  # name a bad --scale before the spec refuses it
     try:
         spec = CampaignSpec(experiment=args.experiment, scale=args.scale,

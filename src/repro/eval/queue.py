@@ -168,6 +168,11 @@ class CampaignSpec:
             if tag in seen:
                 raise ValueError(f"duplicate config tag {tag!r}")
             seen.add(tag)
+        seen = set()
+        for tag in self.machines:
+            if tag in seen:
+                raise ValueError(f"duplicate machine tag {tag!r}")
+            seen.add(tag)
         for tag in ("", self.machine, *self.machines):
             if tag:
                 preset_machine(tag)  # unknown presets raise here, early

@@ -35,8 +35,10 @@ Two per-cell implementations ship here, plus the ``batch`` name:
      a record list of ``(mop, taken, addrs, branch)`` tuples that the
      hot loop indexes instead of resuming a generator per fetch; a
      refill (:meth:`~repro.trace.stream.InstructionStream.materialize`)
-     extends the list by at least ``STREAM_BATCH`` records.  The list
-     is the walk shared by every stream of the same program, thread and
+     extends the list by at least ``STREAM_BATCH`` records by
+     interpreting the walk's step table, where the reference engine
+     resumes the walk's per-record ``lazy()`` generator.  The list is
+     the walk shared by every stream of the same program, thread and
      seed, so the cells of a grid generate each thread's records once;
   5. *compiled scheme plans*: :meth:`~repro.merge.scheme.Scheme.compile`
      lowers the merge AST once into a generated straight-line selection

@@ -13,9 +13,10 @@ fetch record per VLIW instruction.  A record is a plain tuple
   operation in ``mop.mem_ops`` order (``()`` for memory-free words);
 * ``branch`` — the contained branch's ``BranchInfo``, or ``None``.
 
-Records are immutable and may be shared: memory-free records are
-prebuilt once per program and reused by every execution.  Hot loops
-unpack them (``mop, taken, addrs, _ = rec``) or index them (``rec[0]``).
+Records are immutable and may be shared: the bulk walk prebuilds the
+memory-free records once per walk and reuses them for every execution.
+Hot loops unpack them (``mop, taken, addrs, _ = rec``) or index them
+(``rec[0]``).
 
 Branch outcomes:
 
@@ -36,13 +37,12 @@ together by ``tests/test_trace.py``):
   stream owns a private walk.
 * :meth:`InstructionStream.materialize` batch-generates records into a
   list the fast and batch engines index directly from the stream's
-  cursor ``_pos``.  The batch walk is *generated per program*
-  (:func:`_fill_source`): each basic block becomes straight-line code —
-  prebuilt records appended directly, memory records built as tuple
-  literals, address arithmetic and branch sampling inlined with the
-  pattern constants baked in — dispatched by a block-index ``if``
-  chain, so the fill loop pays no per-record plan lookups.  It may
-  overfill past the requested count to the end of a basic block.
+  cursor ``_pos``.  The batch walk (:meth:`_Walk.fill`) interprets a
+  step table each walk builds over its own address generators: per
+  basic block, one step per word, holding the generators the word
+  draws from, its branch behaviour and its prebuilt records (appended
+  as they are when the word draws no address).  It stops at a
+  basic-block boundary, so it may overfill past the requested count.
 
 A stream in bulk mode is a *cursor over a shared walk*: one process-wide
 memo holds the walk of each recently used ``(program, thread_id,
@@ -81,10 +81,11 @@ _MEMO_WALKS = 4
 
 class _Walk:
     """One thread's walk over a program: RNG, address generators, loop
-    counters, the next block and the records produced so far."""
+    counters, the next block, the step table and the records produced
+    so far."""
 
     __slots__ = ("program", "thread_id", "rng", "gens", "counters", "bi",
-                 "records", "_fill_fn")
+                 "records", "steps")
 
     def __init__(self, program, thread_id: int, rng: random.Random):
         self.program = program
@@ -93,12 +94,33 @@ class _Walk:
         self.gens = [make_generator(p, thread_id, i, rng)
                      for i, p in enumerate(program.patterns)]
         self.counters: dict[int, int] = {}
-        #: bulk-mode position: the next block to fetch (the specialized
-        #: filler always stops at a block boundary).
+        #: bulk-mode position: the next block to fetch (fill() always
+        #: stops at a block boundary).
         self.bi = 0
         self.records: list[tuple] = []
-        #: program-specialized batch filler (resolved on first fill).
-        self._fill_fn = None
+        #: per block, one step per word: ``(mop, nexts, br, trip, prob,
+        #: rec, rec_taken)``, with ``nexts`` the bound ``next_address``
+        #: of this walk's generators in ``mop.mem_ops`` order, ``trip``
+        #: the loop trip (``None`` unless a loop branch), ``prob`` the
+        #: Bernoulli probability, and ``rec``/``rec_taken`` the shared
+        #: not-taken/taken records of a memory-free word.
+        self.steps = []
+        for blk in program.blocks:
+            block = []
+            for mop, br in zip(blk.mops, blk.branches):
+                trip = None
+                prob = 0.0
+                if br is not None:
+                    beh = br.behavior
+                    if beh.kind == "loop":
+                        trip = beh.trip
+                    else:
+                        prob = beh.prob
+                nexts = tuple(self.gens[op.pattern].next_address
+                              for op in mop.mem_ops)
+                block.append((mop, nexts, br, trip, prob,
+                              (mop, False, (), br), (mop, True, (), br)))
+            self.steps.append(tuple(block))
 
     @classmethod
     def start(cls, program, thread_id: int, seed: int) -> "_Walk":
@@ -121,17 +143,57 @@ class _Walk:
 
     def fill(self, n: int) -> None:
         """Append at least the next ``n`` records of the walk to
-        :attr:`records` (the specialized filler stops at basic-block
-        boundaries, so it may run a few records past ``n``).
+        :attr:`records` by interpreting :attr:`steps` block by block; it
+        stops at a basic-block boundary, so it may run a few records
+        past ``n``.
 
-        RNG discipline: a record's memory addresses are always drawn
-        before its branch outcome (address generators and branch
-        sampling share the thread RNG), exactly like :meth:`lazy`.
+        Produces exactly :meth:`lazy`'s sequence: a record's memory
+        addresses are drawn before its branch outcome (address
+        generators and branch sampling share the thread RNG), loop
+        counters follow :meth:`_take_loop`, and a Bernoulli branch with
+        ``prob >= 1.0`` draws nothing.
         """
-        fn = self._fill_fn
-        if fn is None:
-            fn = self._fill_fn = _fill_fn_for(self.program)
-        fn(self, n)
+        records = self.records
+        append = records.append
+        rng_random = self.rng.random
+        counters = self.counters
+        steps = self.steps
+        bi = self.bi
+        stop = len(records) + n
+        while len(records) < stop:
+            if bi >= len(steps):
+                bi = 0  # kernel restarts
+            nxt = bi + 1
+            for mop, nexts, br, trip, prob, rec, rec_taken in steps[bi]:
+                if nexts:
+                    k = len(nexts)
+                    if k == 1:
+                        addrs = (nexts[0](),)
+                    elif k == 2:
+                        addrs = (nexts[0](), nexts[1]())
+                    else:
+                        addrs = tuple([f() for f in nexts])
+                    if br is None:
+                        append((mop, False, addrs, None))
+                        continue
+                elif br is None:
+                    append(rec)
+                    continue
+                if trip is not None:
+                    c = counters.get(bi, trip)
+                    taken = c > 1
+                    counters[bi] = c - 1 if taken else trip
+                else:
+                    taken = prob >= 1.0 or rng_random() < prob
+                if nexts:
+                    append((mop, taken, addrs, br))
+                else:
+                    append(rec_taken if taken else rec)
+                if taken:
+                    nxt = br.target
+                    break
+            bi = nxt
+        self.bi = bi
 
     def _take_loop(self, block_idx: int, trip: int) -> bool:
         c = self.counters.get(block_idx, trip)
@@ -254,17 +316,17 @@ class InstructionStream:
         """Pre-generate records so the next ``n`` fetches index a
         prebuilt list instead of walking the control flow per fetch.
 
-        Purely a batching hint: records are produced by the same walk in
-        the same order, and ``next()`` always drains the buffer first, so
-        the observed stream is identical whether or not (and however
-        often) this is called.  May buffer more than ``n`` (the
-        specialized filler stops at basic-block boundaries, and other
-        streams of a shared walk may have gone further).  Returns the
-        record list of ``(mop, taken, addrs, branch)`` tuples (see the
-        module docstring) whose entries from index ``_pos`` on are the
-        upcoming fetches; ``_pos`` may move on a call.  A consumer that
-        indexes the list directly advances ``_pos`` past the records it
-        took.
+        Purely a batching hint: the table-driven :meth:`_Walk.fill`
+        produces the records of the ``next()`` walk in the same order,
+        and ``next()`` always drains the buffer first, so the observed
+        stream is identical whether or not (and however often) this is
+        called.  May buffer more than ``n`` (the walk stops at
+        basic-block boundaries, and other streams of a shared walk may
+        have gone further).  Returns the record list of ``(mop, taken,
+        addrs, branch)`` tuples (see the module docstring) whose entries
+        from index ``_pos`` on are the upcoming fetches; ``_pos`` may
+        move on a call.  A consumer that indexes the list directly
+        advances ``_pos`` past the records it took.
         """
         walk = self._walk
         if walk is None:
@@ -305,180 +367,3 @@ class InstructionStream:
         self._buf = walk.records
         self._pos = 0
         self._shared = False
-
-
-# ----------------------------------------------------------------------
-# program-specialized batch filler
-# ----------------------------------------------------------------------
-def _fill_source(program) -> tuple[str, list]:
-    """Generate a straight-line batch filler for one program.
-
-    Emits ``_fill_compiled(self, n)``: an outer ``while produced < n``
-    over a block-index dispatch chain, each basic block unrolled into
-    literal appends.  Memory-free records are prebuilt constants
-    (returned in ``consts``, unpacked into locals by the prologue);
-    address draws inline the generator arithmetic with the pattern's
-    stride/footprint/alignment baked in (``_Stream`` positions are
-    hoisted into locals and flushed on exit); branch sampling inlines
-    the loop-counter or Bernoulli draw.  Taken branches exit the block
-    with a statically counted ``produced`` bump; the not-taken path
-    falls through linearly, so no code is duplicated.  RNG order
-    (addresses before branch outcome, shared thread RNG) is identical
-    to :meth:`_Walk.lazy`.
-    """
-    consts: list = []
-    names: list[str] = []
-
-    def bind(obj, tag: str) -> str:
-        name = f"_K{tag}_{len(consts)}"
-        consts.append(obj)
-        names.append(name)
-        return name
-
-    kinds = [p.kind for p in program.patterns]
-    blocks = program.blocks
-    nb = len(blocks)
-    L: list[str] = ["def _fill_compiled(self, n):"]
-    e = L.append
-    e("    append = self.records.append")
-    e("    rng_random = self.rng.random")
-    e("    grb = self.rng.getrandbits")
-    e("    counters = self.counters")
-    e("    gens = self.gens")
-    for gi, kind in enumerate(kinds):
-        e(f"    g{gi} = gens[{gi}]")
-        e(f"    b{gi} = g{gi}.base")
-        if kind == "stream":
-            e(f"    pos{gi} = g{gi}.pos")
-    e("    produced = 0")
-    e("    bi = self.bi")
-    e("    while produced < n:")
-    e(f"        if bi >= {nb}:")
-    e("            bi = 0")
-
-    def emit_block(bidx: int, pad: str) -> None:
-        blk = blocks[bidx]
-        cnt = 0
-        for mop, br in zip(blk.mops, blk.branches):
-            cnt += 1
-            if br is not None:
-                beh = br.behavior
-                is_loop = beh.kind == "loop"
-                always = (not is_loop) and beh.prob >= 1.0
-            if not mop.mem_ops:
-                if br is None:
-                    k = bind((mop, False, (), None), "r")
-                    e(f"{pad}append({k})")
-                    continue
-                kn = bind((mop, False, (), br), "n")
-                kt = bind((mop, True, (), br), "t")
-                if always:
-                    e(f"{pad}append({kt})")
-                    e(f"{pad}produced += {cnt}")
-                    e(f"{pad}bi = {br.target}")
-                    e(f"{pad}continue")
-                    return  # rest of block unreachable
-                if is_loop:
-                    e(f"{pad}_c = counters.get({bidx}, {beh.trip})")
-                    e(f"{pad}if _c > 1:")
-                    e(f"{pad}    counters[{bidx}] = _c - 1")
-                    e(f"{pad}    append({kt})")
-                    e(f"{pad}    produced += {cnt}")
-                    e(f"{pad}    bi = {br.target}")
-                    e(f"{pad}    continue")
-                    e(f"{pad}counters[{bidx}] = {beh.trip}")
-                    e(f"{pad}append({kn})")
-                else:
-                    e(f"{pad}if rng_random() < {beh.prob!r}:")
-                    e(f"{pad}    append({kt})")
-                    e(f"{pad}    produced += {cnt}")
-                    e(f"{pad}    bi = {br.target}")
-                    e(f"{pad}    continue")
-                    e(f"{pad}append({kn})")
-                continue
-            # memory instruction: draw addresses, then the branch.
-            for x, op in enumerate(mop.mem_ops):
-                gi = op.pattern
-                pat = program.patterns[gi]
-                if kinds[gi] == "stream":
-                    e(f"{pad}_a{x} = b{gi} + pos{gi}")
-                    e(f"{pad}pos{gi} = (pos{gi} + {pat.stride})"
-                      f" % {pat.footprint}")
-                else:
-                    n_slots = pat.footprint // pat.align
-                    bits = n_slots.bit_length()
-                    e(f"{pad}_r = grb({bits})")
-                    e(f"{pad}while _r >= {n_slots}:")
-                    e(f"{pad}    _r = grb({bits})")
-                    e(f"{pad}_a{x} = b{gi} + _r * {pat.align}")
-            addrs = "(" + ", ".join(f"_a{x}" for x in
-                                    range(len(mop.mem_ops))) + ",)"
-            km = bind(mop, "m")
-            if br is None:
-                e(f"{pad}append(({km}, False, {addrs}, None))")
-                continue
-            kb = bind(br, "b")
-            if always:
-                e(f"{pad}append(({km}, True, {addrs}, {kb}))")
-                e(f"{pad}produced += {cnt}")
-                e(f"{pad}bi = {br.target}")
-                e(f"{pad}continue")
-                return
-            if is_loop:
-                e(f"{pad}_c = counters.get({bidx}, {beh.trip})")
-                e(f"{pad}if _c > 1:")
-                e(f"{pad}    counters[{bidx}] = _c - 1")
-                e(f"{pad}    append(({km}, True, {addrs}, {kb}))")
-                e(f"{pad}    produced += {cnt}")
-                e(f"{pad}    bi = {br.target}")
-                e(f"{pad}    continue")
-                e(f"{pad}counters[{bidx}] = {beh.trip}")
-                e(f"{pad}append(({km}, False, {addrs}, {kb}))")
-            else:
-                e(f"{pad}if rng_random() < {beh.prob!r}:")
-                e(f"{pad}    append(({km}, True, {addrs}, {kb}))")
-                e(f"{pad}    produced += {cnt}")
-                e(f"{pad}    bi = {br.target}")
-                e(f"{pad}    continue")
-                e(f"{pad}append(({km}, False, {addrs}, {kb}))")
-        e(f"{pad}produced += {cnt}")
-        e(f"{pad}bi = {bidx + 1}")
-        e(f"{pad}continue")
-
-    if nb == 1:
-        emit_block(0, "        ")
-    else:
-        for bidx in range(nb):
-            kw = "if" if bidx == 0 else (
-                "elif" if bidx < nb - 1 else "else")
-            cond = f" bi == {bidx}" if kw != "else" else ""
-            e(f"        {kw}{cond}:")
-            emit_block(bidx, "            ")
-    for gi, kind in enumerate(kinds):
-        if kind == "stream":
-            e(f"    g{gi}.pos = pos{gi}")
-    e("    self.bi = bi")
-    # patch in the constant unpack now that every record is bound.
-    if names:
-        L[1:1] = [f"    ({', '.join(names)},) = _CONSTS"]
-    return "\n".join(L) + "\n", consts
-
-
-#: id(program) -> (program, compiled filler); the ref pins the id.
-_FILL_FNS: dict = {}
-
-
-def _fill_fn_for(program):
-    """Resolve (building if needed) the specialized filler for a
-    program; the compiled function is shared by every walk over it."""
-    ent = _FILL_FNS.get(id(program))
-    if ent is not None:
-        return ent[1]
-    src, consts = _fill_source(program)
-    namespace = {"_CONSTS": tuple(consts)}
-    exec(src, namespace)  # noqa: S102 - self-generated source
-    fn = namespace["_fill_compiled"]
-    if len(_FILL_FNS) >= 256:
-        _FILL_FNS.clear()
-    _FILL_FNS[id(program)] = (program, fn)
-    return fn

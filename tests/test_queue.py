@@ -241,6 +241,11 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="static"):
             CampaignSpec(experiment="fig5").cells()
 
+    def test_duplicate_machine_tags_are_refused(self):
+        with pytest.raises(ValueError, match="duplicate machine tag '2c4w'"):
+            CampaignSpec(experiment="sweep2", machines=("2c4w", "4c4w",
+                                                        "2c4w"))
+
     def test_bad_scale_is_refused(self):
         with pytest.raises(ValueError, match="positive finite"):
             CampaignSpec(experiment="sweep2", scale=-1)
@@ -876,6 +881,16 @@ class TestQueueCli:
         from repro.eval.cli import main
         assert main(["queue-init", _url(tmp_path), "-e", "fig99"]) == 1
         assert "unknown experiment" in capsys.readouterr().err
+
+    def test_duplicate_machines_are_a_clean_error(self, tmp_path, capsys):
+        from repro.eval.cli import main
+        url = _url(tmp_path)
+        assert main(["queue-init", url, "-e", "sweep2", "--scale", "0.05",
+                     "--machines", "2c4w,2c4w"]) == 1
+        err = capsys.readouterr().err
+        assert "duplicate machine tag '2c4w'" in err
+        assert "Traceback" not in err
+        self._init(tmp_path, capsys)  # the refused init wrote nothing
 
     @pytest.mark.parametrize("bad", ["sweep0", "sweep02", "fig9"])
     def test_failed_init_leaves_the_queue_free(self, tmp_path, capsys, bad):

@@ -1,10 +1,16 @@
 """Trace-generation tests: determinism, control flow, addresses."""
 
+import gc
+import weakref
 from collections import Counter
+from itertools import cycle, islice
+
+import pytest
 
 from repro.arch import paper_machine
 from repro.compiler import compile_kernel
 from repro.ir import KernelBuilder
+from repro.kernels import SUITE, compile_spec
 from repro.trace import InstructionStream
 from repro.trace import stream as stream_mod
 from repro.trace.addrgen import make_generator
@@ -341,3 +347,53 @@ class TestSharedWalk:
         assert len(shared.records) <= cap + batch
         assert self._fields(got_lead) == expect
         assert self._fields(got_trail) == expect
+
+
+class TestSuiteWalks:
+    """The table-driven bulk walk equals the lazy reference walk on every
+    Table 1 kernel: every address-pattern kind, loop and Bernoulli
+    branches, and unconditional (``prob == 1.0``) jumps."""
+
+    _fields = TestMaterialize._fields
+    BATCHES = (1, 7, 64, 512, 3, 100, 2048)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("thread_id", [0, 3])
+    @pytest.mark.parametrize("spec", SUITE, ids=lambda s: s.name)
+    def test_fill_in_uneven_batches_equals_lazy(self, spec, thread_id,
+                                                 seed):
+        prog = compile_spec(spec, MACHINE)
+        n = 20_000
+        expect = self._fields(islice(
+            stream_mod._Walk.start(prog, thread_id, seed).lazy(), n))
+        walk = stream_mod._Walk.start(prog, thread_id, seed)
+        batches = cycle(self.BATCHES)
+        while len(walk.records) < n:
+            walk.fill(next(batches))
+        assert self._fields(walk.records[:n]) == expect
+
+    @pytest.mark.parametrize("spec", SUITE, ids=lambda s: s.name)
+    def test_fork_at_block_boundaries_continues_the_walk(self, spec):
+        prog = compile_spec(spec, MACHINE)
+        expect = self._fields(islice(
+            stream_mod._Walk.start(prog, 1, 5).lazy(), 6_000))
+        walk = stream_mod._Walk.start(prog, 1, 5)
+        for n in (1, 5, 13, 200, 1_000, 3_000):
+            walk.fill(n)
+            at = len(walk.records)
+            twin = walk.fork()
+            twin.fill(500)
+            assert self._fields(twin.records[:500]) == expect[at:at + 500]
+        assert self._fields(walk.records) == expect[:len(walk.records)]
+
+
+def test_released_walks_keep_no_program_alive():
+    stream_mod.release_walks()
+    prog = _mini_loop(trip=4, prob=0.3)  # compile_kernel: no program cache
+    ref = weakref.ref(prog)
+    s = InstructionStream(prog, 0, seed=1)
+    s.materialize(300)
+    del s, prog
+    stream_mod.release_walks()
+    gc.collect()
+    assert ref() is None
