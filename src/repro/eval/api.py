@@ -86,11 +86,10 @@ class _SessionStore:
         cells.update(self._session._cells.get(experiment, {}))
         return cells
 
-    def record_cell(self, experiment: str, key: str, value: float,
-                    meta: dict | None = None) -> None:
+    def record_cell(self, experiment: str, key: str, value: float) -> None:
         self._session._cells.setdefault(experiment, {})[key] = value
         if self._store is not None:
-            self._store.record_cell(experiment, key, value, meta)
+            self._store.record_cell(experiment, key, value)
 
     def update_manifest(self, experiment: str, **fields) -> None:
         if self._store is not None:

@@ -118,16 +118,11 @@ class StoreBackend(Protocol):
         """Recorded cell values of one experiment (may be empty)."""
         ...
 
-    def save_cells(self, experiment: str, cells: dict[str, float],
-                   meta: dict[str, dict] | None = None) -> None:
+    def save_cells(self, experiment: str, cells: dict[str, float]) -> None:
         """Record ``cells`` (key -> value) of one experiment in one write.
 
         An upsert: cells recorded earlier, by this or any other writer,
-        are kept.  ``meta`` maps some of the written keys to diagnostic
-        metadata (engine stats etc.), recorded in the same call.
-        Metadata is best-effort provenance — never part of a cell's
-        value or the resume contract; losing it costs nothing but a
-        diagnostic."""
+        are kept."""
         ...
 
     def experiments_with_cells(self) -> list[str]:
@@ -135,7 +130,12 @@ class StoreBackend(Protocol):
         ...
 
     def load_cell_meta(self, experiment: str) -> dict[str, dict]:
-        """Recorded per-cell metadata of one experiment (may be empty)."""
+        """Per-cell metadata (engine name and counters) that a store
+        written by an older release holds for one experiment.
+
+        Nothing writes metadata any more, so a new store returns ``{}``.
+        It was best-effort provenance, never part of a cell's value or
+        the resume contract."""
         ...
 
     def save_artifact(self, experiment: str, text: str) -> str:

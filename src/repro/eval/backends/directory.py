@@ -6,16 +6,14 @@ run directories keep working, and the bytes written are identical)::
     run_dir/
         manifest.json        # fingerprint + per-experiment status
         cells/fig10.json     # cell key -> measured value
-        meta/fig10.json      # cell key -> diagnostic metadata (optional)
         fig10.json           # final ExperimentResult artifact
 
 While a grid runs, each finished cell is one appended line of
-``cells/fig10.jsonl``, the experiment's *journal*:
-``[{key: value}, {key: meta}]``, written with one ``write`` call and
-preceded by its newline.  Every manifest write and
-:meth:`DirectoryBackend.close` fold the journals back: the ``cells/``
-and ``meta/`` files are re-read, the journal is merged in, each file is
-rewritten atomically as the *complete* mapping, and the journal is
+``cells/fig10.jsonl``, the experiment's *journal*: ``{key: value}``,
+written with one ``write`` call and preceded by its newline.  Every
+manifest write and :meth:`DirectoryBackend.close` fold the journals
+back: the ``cells/`` file is re-read, the journal is merged in, the file
+is rewritten atomically as the *complete* mapping, and the journal is
 deleted.  A grid ends with a manifest update, written whenever it
 changes the manifest, and :meth:`DirectoryBackend.close` folds what is
 left, so a closed store holds only the files above.  Reads return the
@@ -23,6 +21,14 @@ file merged with its journal, so two stores writing one directory never
 erase each other's cells.
 A final line torn by a killed writer is skipped: it is the cell that
 was in flight, and a resume simulates it again.
+
+Older releases also kept per-cell metadata (engine name and counters):
+a ``meta/fig10.json`` file beside each ``cells/`` file, and journal
+lines of the form ``[{key: value}, {key: meta}]``.  Such a directory
+still resumes: a journal line of that form counts for its first half,
+the fold drops its metadata half, and :meth:`~DirectoryBackend.
+load_cell_meta` reads the ``meta/`` files, which nothing writes any
+more.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ class DirectoryBackend:
         atomic_write_text(os.path.join(self.path, _MANIFEST),
                           json.dumps(manifest, indent=2))
 
-    # -- cells and their metadata ---------------------------------------
+    # -- cells ---------------------------------------------------------
     def _cells_path(self, experiment: str) -> str:
         return os.path.join(self.path, "cells", f"{experiment}.json")
 
@@ -80,38 +86,30 @@ class DirectoryBackend:
         except (OSError, json.JSONDecodeError):
             return {}
 
-    def _load_journal(self, experiment: str) -> tuple[dict, dict] | None:
-        """The journal's ``(cells, meta)``, later lines winning, or
-        ``None`` when there is no journal.  Undecodable lines (a
-        writer killed mid-append) are skipped."""
+    def _load_journal(self, experiment: str) -> dict | None:
+        """The journal's cells, later lines winning, or ``None`` when
+        there is no journal.  Undecodable lines (a writer killed
+        mid-append) are skipped; an older release's ``[cells, meta]``
+        line counts for its cells."""
         try:
             with open(self._journal_path(experiment), "rb") as f:
                 lines = f.read().splitlines()
         except OSError:
             return None
         cells: dict = {}
-        meta: dict = {}
         for line in lines:
             if not line:
                 continue
             try:
-                values, metas = json.loads(line)
+                values = json.loads(line)
             except ValueError:
                 continue
-            cells.update(values)
-            meta.update(metas)
-        return cells, meta
-
-    def _merge_into(self, path: str, entries: dict) -> None:
-        """Rewrite one complete-mapping file with ``entries`` merged in."""
-        recorded = self._load_mapping(path)
-        recorded.update(entries)
-        atomic_write_text(path, json.dumps(recorded, indent=0,
-                                           sort_keys=True))
+            cells.update(values[0] if isinstance(values, list) else values)
+        return cells
 
     def _fold_journals(self) -> None:
-        """Merge every experiment's journal into its ``cells/`` and
-        ``meta/`` files, then delete the journal."""
+        """Merge every experiment's journal into its ``cells/`` file,
+        then delete the journal."""
         try:
             names = os.listdir(os.path.join(self.path, "cells"))
         except OSError:
@@ -123,25 +121,22 @@ class DirectoryBackend:
             journal = self._load_journal(experiment)
             if journal is None:
                 continue
-            cells, meta = journal
-            self._merge_into(self._cells_path(experiment), cells)
-            if meta:
-                os.makedirs(os.path.join(self.path, "meta"), exist_ok=True)
-                self._merge_into(self._meta_path(experiment), meta)
+            path = self._cells_path(experiment)
+            cells = self._load_mapping(path)
+            cells.update(journal)
+            atomic_write_text(path, json.dumps(cells, indent=0,
+                                               sort_keys=True))
             os.unlink(self._journal_path(experiment))
 
     def load_cells(self, experiment: str) -> dict[str, float]:
         cells = self._load_mapping(self._cells_path(experiment))
-        journal = self._load_journal(experiment)
-        if journal is not None:
-            cells.update(journal[0])
+        cells.update(self._load_journal(experiment) or {})
         return cells
 
-    def save_cells(self, experiment: str, cells: dict[str, float],
-                   meta: dict[str, dict] | None = None) -> None:
+    def save_cells(self, experiment: str, cells: dict[str, float]) -> None:
         # the newline leads, so a line torn by a killed writer ends
         # where the next append starts instead of swallowing it
-        line = ("\n" + json.dumps([cells, meta or {}])).encode()
+        line = ("\n" + json.dumps(cells)).encode()
         path = self._journal_path(experiment)
         flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
         try:
@@ -163,11 +158,8 @@ class DirectoryBackend:
                        if n.endswith((".json", ".jsonl"))})
 
     def load_cell_meta(self, experiment: str) -> dict[str, dict]:
-        meta = self._load_mapping(self._meta_path(experiment))
-        journal = self._load_journal(experiment)
-        if journal is not None:
-            meta.update(journal[1])
-        return meta
+        """The ``meta/`` file an older release wrote, or ``{}``."""
+        return self._load_mapping(self._meta_path(experiment))
 
     # -- artifacts -------------------------------------------------------
     def save_artifact(self, experiment: str, text: str) -> str:

@@ -15,28 +15,32 @@ Schema version 2 (stamped in ``kv`` under ``schema``)::
           status TEXT,                       -- open | claimed | done | failed
           cell TEXT,                         -- serialized Cell, once enqueued
           worker, attempt, error,            -- claimant, claim count, failure
-          heartbeat REAL, claimed_at REAL,   -- the claimant's pulse
-          meta TEXT)                         -- diagnostic metadata (JSON)
+          heartbeat REAL, claimed_at REAL,   -- stamped by claim and finish
+          meta TEXT)                         -- legacy metadata (JSON)
     artifacts(experiment TEXT PRIMARY KEY, body TEXT)  -- ExperimentResult
 
-A row carries a cell's value, queue state and metadata, so no write has
-to keep tables in step.  Every value write marks its row done, whatever
-its status was; a ``sqlite:`` store holds only done rows.  The *queue*
-is the rows that were enqueued (``cell`` is set).  Metadata is written
-only in the same statement as its cell's value (:meth:`~SQLiteBackend.
-save_cells`, :meth:`~SQLiteBackend.finish`), so a row holding metadata
-without a value can come only from an upgraded version-1 file.
+A row carries a cell's value and queue state, so no write has to keep
+tables in step.  Every value write marks its row done, whatever its
+status was; a ``sqlite:`` store holds only done rows.  The *queue* is
+the rows that were enqueued (``cell`` is set).  No write sets ``meta``:
+it holds the per-cell metadata (engine name and counters) that older
+releases recorded beside each value, which
+:meth:`~SQLiteBackend.load_cell_meta` still reads back.
 
 **Claiming is crash-safe.**  A claim is one ``BEGIN IMMEDIATE``
 transaction — SQLite takes the write lock before the read, so two
 workers can never select the same open cell — wrapped in an
 ``O_CREAT|O_EXCL`` lockfile (``PATH.db.lock``) because SQLite's own
 byte-range locks are unreliable on NFS, where fleet campaigns typically
-share the store; the lockfile also guards finish, enqueue and reset.  A
-worker that dies mid-cell stops heartbeating: its claim goes *stale*
-after ``ttl`` seconds and the next claimer reclaims the cell
+share the store; the lockfile also guards finish, enqueue and reset.
+The claim stamps the row's heartbeat and the finish stamps it again;
+nothing beats in between, so ``ttl`` must exceed the slowest cell.  A
+worker that dies mid-cell never finishes: its claim goes *stale*
+``ttl`` seconds after the claim and the next claimer reclaims the cell
 (``attempt`` increments), or marks it failed once ``max_attempts``
-claims have been burned.
+claims have been burned.  Release and fail act only on the caller's own
+claim, so a worker whose stale claim was reclaimed cannot reopen or fail
+the new claimant's cell.
 
 Cell values are IPC floats; SQLite ``REAL`` is an IEEE double, so values
 round-trip bit-exactly against the directory backend's JSON (property
@@ -114,11 +118,10 @@ _MIGRATIONS = {0: _SCHEMA, 1: _UPGRADE_V1}
 #: the one value write (``save_cells`` and ``finish``): whatever the
 #: row's state was, a recorded value makes it done.
 _RECORD = (
-    "INSERT INTO cells (experiment, key, value, status, heartbeat, meta) "
-    "VALUES (?, ?, ?, 'done', ?, ?) ON CONFLICT (experiment, key) "
+    "INSERT INTO cells (experiment, key, value, status, heartbeat) "
+    "VALUES (?, ?, ?, 'done', ?) ON CONFLICT (experiment, key) "
     "DO UPDATE SET value = excluded.value, status = 'done', error = NULL, "
-    "heartbeat = coalesce(excluded.heartbeat, heartbeat), "
-    "meta = coalesce(excluded.meta, meta)")
+    "heartbeat = coalesce(excluded.heartbeat, heartbeat)")
 
 
 @contextlib.contextmanager
@@ -200,8 +203,8 @@ class _FileLock:
 
 class SQLiteBackend:
     """One SQLite database as a :class:`~repro.eval.backends.StoreBackend`,
-    plus the worker-pull queue primitives (enqueue, claim, heartbeat,
-    finish) over the same cell rows.
+    plus the worker-pull queue primitives (enqueue, claim, finish,
+    release, fail) over the same cell rows.
 
     The connection runs in autocommit mode: a single statement commits
     on its own, and every multi-statement write (claim, enqueue,
@@ -309,12 +312,8 @@ class SQLiteBackend:
             "SELECT key, value FROM cells WHERE experiment = ? "
             "AND value IS NOT NULL", (experiment,)))
 
-    def save_cells(self, experiment: str, cells: dict[str, float],
-                   meta: dict[str, dict] | None = None) -> None:
-        meta = meta or {}
-        rows = [(experiment, key, value, None,
-                 json.dumps(meta[key], sort_keys=True) if key in meta
-                 else None)
+    def save_cells(self, experiment: str, cells: dict[str, float]) -> None:
+        rows = [(experiment, key, value, None)
                 for key, value in cells.items()]
         if rows:
             with _immediate(self._connect(create=True)) as conn:
@@ -326,6 +325,7 @@ class SQLiteBackend:
             "ORDER BY experiment")]
 
     def load_cell_meta(self, experiment: str) -> dict[str, dict]:
+        """The metadata rows written by older releases still carry."""
         return {k: json.loads(meta) for k, meta in self._read(
             "SELECT key, meta FROM cells WHERE experiment = ? "
             "AND meta IS NOT NULL", (experiment,))}
@@ -364,7 +364,7 @@ class SQLiteBackend:
                 "status = coalesce(status, 'open') WHERE cell IS NULL",
                 rows).rowcount
 
-    # -- queue: claim / heartbeat / completion -----------------------------
+    # -- queue: claim / completion -----------------------------------------
     def claim(self, worker: str, *, ttl: float, max_attempts: int = 3,
               now: float | None = None) -> dict | None:
         """Atomically claim the next runnable cell for ``worker``.
@@ -400,36 +400,32 @@ class SQLiteBackend:
         return {"experiment": experiment, "key": key,
                 "cell": json.loads(cell_json), "attempt": attempt}
 
-    def beat(self, worker: str, now: float | None = None) -> None:
-        """Refresh the heartbeat of every cell ``worker`` holds."""
-        self._connect(create=True).execute(
-            "UPDATE cells SET heartbeat = ? WHERE status = 'claimed' "
-            "AND worker = ?",
-            (time.time() if now is None else now, worker))
+    def finish(self, experiment: str, key: str, value: float) -> None:
+        """Record a claimed cell's value; it is then done.
 
-    def finish(self, experiment: str, key: str, value: float,
-               meta: dict | None = None) -> None:
-        """Record a claimed cell's value (and metadata); it is then done.
-
-        One statement writes value, status, heartbeat and metadata, so a
-        crash can never leave a done row without its value; at worst the
-        cell is re-executed, which is idempotent because simulations are
+        One statement writes value, status and heartbeat, so a crash can
+        never leave a done row without its value; at worst the cell is
+        re-executed, which is idempotent because simulations are
         deterministic.
         """
-        self._locked_write(_RECORD, (
-            experiment, key, value, time.time(),
-            None if meta is None else json.dumps(meta, sort_keys=True)))
+        self._locked_write(_RECORD, (experiment, key, value, time.time()))
 
-    def fail(self, experiment: str, key: str, error: str) -> None:
-        """Mark a claimed cell failed with a diagnostic."""
+    def fail(self, experiment: str, key: str, worker: str,
+             error: str) -> None:
+        """Mark ``worker``'s claim on a cell failed with a diagnostic.
+
+        A no-op once the claim is no longer ``worker``'s (another worker
+        reclaimed it, or it was finished meanwhile)."""
         self._connect(create=True).execute(
             "UPDATE cells SET status = 'failed', error = ?, heartbeat = ? "
-            "WHERE experiment = ? AND key = ? AND status = 'claimed'",
-            (error, time.time(), experiment, key))
+            "WHERE experiment = ? AND key = ? AND status = 'claimed' "
+            "AND worker = ?",
+            (error, time.time(), experiment, key, worker))
 
-    def release(self, experiment: str, key: str,
+    def release(self, experiment: str, key: str, worker: str,
                 error: str | None = None) -> None:
-        """Return a claimed cell to ``open`` for another attempt.
+        """Return ``worker``'s claim on a cell to ``open`` for another
+        attempt (a no-op once the claim is no longer ``worker``'s).
 
         Unlike :meth:`reset`, the attempt count is kept — the claim
         already charged it, so a cell that keeps blowing up still runs
@@ -440,8 +436,9 @@ class SQLiteBackend:
         self._connect(create=True).execute(
             "UPDATE cells SET status = 'open', worker = NULL, "
             "heartbeat = NULL, claimed_at = NULL, error = ? "
-            "WHERE experiment = ? AND key = ? AND status = 'claimed'",
-            (error, experiment, key))
+            "WHERE experiment = ? AND key = ? AND status = 'claimed' "
+            "AND worker = ?",
+            (error, experiment, key, worker))
 
     # -- queue: recovery / monitoring ----------------------------------------
     def reset(self, *, failed: bool = True,

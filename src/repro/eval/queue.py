@@ -6,10 +6,12 @@ control flow: :func:`init_queue` turns the grid into a table of open
 cells inside a ``queue:PATH.db`` store, and any number of
 :func:`run_worker` processes — on any machines that can reach the file —
 claim cells atomically, execute them through the ordinary
-:func:`~repro.eval.runner.run_cell_detailed` path, write values back, and
-heartbeat.  A worker killed mid-cell stops heartbeating; its claim goes
-stale after ``ttl`` seconds and the next claimer picks the cell up, so
-a campaign *always* drains as long as one worker survives.
+:func:`~repro.eval.runner.run_cell` path, and write values back.  The
+claim and the finish stamp the cell's heartbeat; nothing beats while a
+cell runs, so ``ttl`` must exceed the slowest cell.  A worker killed
+mid-cell never finishes; its claim goes stale ``ttl`` seconds after the
+claim and the next claimer picks the cell up, so a campaign *always*
+drains as long as one worker survives.
 
 Cell lifecycle (mirrored in DESIGN.md §8 and docs/OPERATIONS.md)::
 
@@ -59,7 +61,7 @@ from repro.eval.experiments import (
     cell_factory,
     default_config,
 )
-from repro.eval.runner import Cell, ProgramSet, check_tag, run_cell_detailed
+from repro.eval.runner import Cell, ProgramSet, check_tag, run_cell
 from repro.eval.store import RunStore, open_store, run_fingerprint
 from repro.eval.sweep import sweep_cells, sweep_threads
 from repro.trace.stream import release_walks
@@ -322,11 +324,11 @@ def run_worker(store, *, worker_id: str | None = None,
                max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                wait: bool = True, follow: bool = False, on_claim=None,
                progress=None) -> WorkerReport:
-    """Drain a queue campaign: claim, execute, write back, heartbeat.
+    """Drain a queue campaign: claim, execute, write back.
 
     Each claim is one cell, on every engine: the worker runs it through
-    :func:`~repro.eval.runner.run_cell_detailed`, finishes it and
-    heartbeats before it claims the next.
+    :func:`~repro.eval.runner.run_cell` and finishes it before it claims
+    the next.  The claim and the finish stamp the heartbeat.
 
     The worker loops until the queue holds no runnable *or in-flight*
     cells (``wait=True``, the default — in-flight cells of a worker
@@ -346,7 +348,8 @@ def run_worker(store, *, worker_id: str | None = None,
         store: queue store URL / backend / RunStore.
         worker_id: identity recorded on claims (default: host-pid-id).
         ttl: seconds without a heartbeat before another worker's claim
-            counts as abandoned.  Must exceed the slowest single cell.
+            counts as abandoned.  Nothing beats while a cell runs, so
+            this must exceed the slowest single cell.
         poll: seconds between claim retries while waiting.
         max_cells: stop after this many claims (None = drain).
         max_attempts: claims a cell may burn before it is failed.
@@ -403,24 +406,25 @@ def run_worker(store, *, worker_id: str | None = None,
     def run_one(claim: dict) -> None:
         cell = Cell(**claim["cell"])
         try:
-            value, meta = run_cell_detailed(cell, config_for(cell),
-                                            programs_for(cell))
+            value = run_cell(cell, config_for(cell), programs_for(cell))
         except Exception as exc:  # noqa: BLE001 - worker must survive
             error = f"{type(exc).__name__}: {exc}"
             if claim["attempt"] < max_attempts:
-                backend.release(claim["experiment"], claim["key"], error)
+                backend.release(claim["experiment"], claim["key"],
+                                report.worker, error)
                 report.released += 1
                 if progress is not None:
                     progress(f"  {claim['key']}  released for retry "
                              f"(attempt {claim['attempt']}/"
                              f"{max_attempts}): {error}")
             else:
-                backend.fail(claim["experiment"], claim["key"], error)
+                backend.fail(claim["experiment"], claim["key"],
+                             report.worker, error)
                 report.failed += 1
                 if progress is not None:
                     progress(f"  {claim['key']}  FAILED: {error}")
         else:
-            backend.finish(claim["experiment"], claim["key"], value, meta)
+            backend.finish(claim["experiment"], claim["key"], value)
             report.executed += 1
             if progress is not None:
                 retry = (f"  [attempt {claim['attempt']}]"
@@ -449,7 +453,6 @@ def run_worker(store, *, worker_id: str | None = None,
             on_claim(Cell(**claim["cell"]), claim["attempt"])
         report.keys.append(claim["key"])
         run_one(claim)
-        backend.beat(report.worker)
     # the shared instruction-stream walks served this drain only
     release_walks()
     return report

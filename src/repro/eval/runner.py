@@ -21,11 +21,13 @@ inline path run whichever engine the experiment requested; cell values
 are engine-agnostic because engines are bit-identical (the store
 fingerprint therefore ignores the engine field).
 
-Each pending cell is one simulation (:func:`run_cell_detailed`) on
+Each pending cell is one simulation (:func:`run_cell`) on
 every engine and every path — inline, in a pool worker or in a queue
 worker.  ``--engine batch`` runs each cell on ``FastEngine``
 (``BatchEngine`` is its per-cell subclass), so its values, store
 writes and resume are the same as the fast engine's, bit for bit.
+A cell yields one value, its IPC, and the store records that value
+alone: which engine ran it is no part of it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from repro.trace.stream import release_walks
 from repro.workloads import workload_specs
 
 __all__ = ["Cell", "GridResult", "ProgramSet", "check_tag",
-           "run_cell_detailed", "run_cells", "shard_cells"]
+           "run_cell", "run_cells", "shard_cells"]
 
 #: cell config variants -> SimConfig transform.
 _VARIANTS = {
@@ -200,21 +202,10 @@ class ProgramSet:
         return programs
 
 
-def run_cell_detailed(cell: Cell, config, programs: ProgramSet
-                      ) -> tuple[float, dict]:
-    """Simulate one grid cell on ``programs``' machine; returns
-    ``(ipc, meta)``.
-
-    ``meta`` is diagnostic provenance for the cell — the engine that ran
-    it plus its :class:`~repro.sim.engine.EngineStats` counters — so a
-    result store can explain how a cell ran.  It is never part of the
-    cell's value: engines are bit-identical, and stores ignore metadata
-    for resume/merge purposes.
-    """
+def run_cell(cell: Cell, config, programs: ProgramSet) -> float:
+    """Simulate one grid cell on ``programs``' machine; returns its IPC."""
     cfg = _VARIANTS[cell.variant](config)
-    result = run_workload(programs.of(cell), cell.scheme, cfg)
-    meta = {"engine": cfg.engine, "engine_stats": result.engine_stats}
-    return result.ipc, meta
+    return run_workload(programs.of(cell), cell.scheme, cfg).ipc
 
 
 # -- worker-side state (set once per pool worker) -------------------------
@@ -226,10 +217,9 @@ def _worker_init(config, programs) -> None:
     _worker_state["programs"] = programs
 
 
-def _worker_run(cell: Cell) -> tuple[str, float, dict]:
-    value, meta = run_cell_detailed(cell, _worker_state["config"],
-                                    _worker_state["programs"])
-    return cell.key, value, meta
+def _worker_run(cell: Cell) -> tuple[str, float]:
+    return cell.key, run_cell(cell, _worker_state["config"],
+                              _worker_state["programs"])
 
 
 def run_cells(cells, config, machine=None, jobs: int = 1, store=None
@@ -273,16 +263,16 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
         else:
             pending.append(cell)
 
-    def record(key: str, value: float, meta: dict | None) -> None:
+    def record(key: str, value: float) -> None:
         result.values[key] = value
         result.executed += 1
         if store is not None:
-            store.record_cell(experiment, key, value, meta)
+            store.record_cell(experiment, key, value)
 
     programs = ProgramSet(machine)
     if jobs <= 1 or len(pending) <= 1:
         for cell in pending:
-            record(cell.key, *run_cell_detailed(cell, config, programs))
+            record(cell.key, run_cell(cell, config, programs))
     else:
         # resolve every program before forking: the workers inherit
         # the filled set and look nothing up again

@@ -13,12 +13,11 @@ guards, resume, merging — and delegates persistence to a pluggable
       run_dir/
           manifest.json        # config fingerprint + per-experiment status
           cells/fig10.json     # cell key -> measured value
-          meta/fig10.json      # cell key -> diagnostic metadata
           fig10.json           # final ExperimentResult artifact
 
   A grid in progress appends its finished cells to
   ``cells/fig10.jsonl``; the grid's closing manifest write (and
-  :meth:`RunStore.close`) folds that journal into the two files above.
+  :meth:`RunStore.close`) folds that journal into ``cells/fig10.json``.
   A manifest update that changes nothing is not written, so a resume
   that reuses every cell leaves any leftover journal to ``close()``.
 
@@ -175,22 +174,14 @@ class RunStore:
             self._cells[experiment] = self.backend.load_cells(experiment)
         return self._cells[experiment]
 
-    def record_cell(self, experiment: str, key: str, value: float,
-                    meta: dict | None = None) -> None:
-        """Record one completed cell and its diagnostic metadata (engine
-        stats etc.) in one write-through call.
+    def record_cell(self, experiment: str, key: str, value: float) -> None:
+        """Record one completed cell's value (write-through)."""
+        self.record_cells(experiment, {key: value})
 
-        Metadata rides alongside the cell value but is never part of it:
-        resume, merge and fingerprint checks ignore it entirely.
-        """
-        self.record_cells(experiment, {key: value},
-                          None if meta is None else {key: meta})
-
-    def record_cells(self, experiment: str, values: dict,
-                     meta: dict | None = None) -> None:
-        """Record a batch of completed cells (and ``{key: meta}``) in one
-        write; cells recorded earlier are kept."""
-        self.backend.save_cells(experiment, values, meta)
+    def record_cells(self, experiment: str, values: dict) -> None:
+        """Record a batch of completed cells in one write; cells
+        recorded earlier are kept."""
+        self.backend.save_cells(experiment, values)
         if experiment in self._cells:
             self._cells[experiment].update(values)
 
@@ -199,7 +190,9 @@ class RunStore:
         return self.backend.experiments_with_cells()
 
     def load_cell_meta(self, experiment: str) -> dict[str, dict]:
-        """Recorded per-cell metadata of one experiment (may be empty)."""
+        """Per-cell metadata that stores written by older releases hold
+        for one experiment (``{}`` for a store written by this one,
+        which records none)."""
         return self.backend.load_cell_meta(experiment)
 
     # -- artifacts -------------------------------------------------------

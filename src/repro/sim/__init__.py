@@ -8,7 +8,6 @@ from repro.sim.engine import (
     ENGINES,
     BatchEngine,
     Engine,
-    EngineStats,
     FastEngine,
     ReferenceEngine,
     make_engine,
@@ -23,7 +22,6 @@ __all__ = [
     "CacheConfig",
     "ENGINES",
     "Engine",
-    "EngineStats",
     "FastEngine",
     "MTCore",
     "Multitasker",

@@ -53,7 +53,6 @@ import random
 import warnings
 
 from repro.merge.registry import get_scheme
-from repro.sim.engine import EngineStats
 from repro.sim.os_sched import RunResult
 from repro.sim.stats import SimStats
 
@@ -1138,14 +1137,11 @@ class _LockstepSim:
             )
             for i, p in enumerate(progs)
         ]
-        es = EngineStats(engine="batch", batch_cells=len(self.cells),
-                         batch_groups=1)
         return RunResult(
             stats=stats,
             threads=threads,
             icache=_BatchCache(int(self.ihits[ci]), int(self.imisses[ci])),
             dcache=_BatchCache(int(self.dhits[ci]), int(self.dmisses[ci])),
-            engine_stats=es.as_dict(),
         )
 
 

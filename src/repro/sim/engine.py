@@ -51,17 +51,11 @@ Two per-cell implementations ship here, plus the ``batch`` name:
   (:func:`repro.sim.batch.run_workloads_batch`) is a library that no
   program path calls.
 
-Every engine reports an :class:`EngineStats` snapshot
-(:meth:`Engine.engine_stats`), which the eval layer surfaces as cell
-metadata so campaign stores record which engine ran a cell and how.
-
 The differential suite (``tests/test_engine.py``) locks the engines
 together across the full scheme registry and every Table 2 workload.
 """
 
 from __future__ import annotations
-
-from dataclasses import asdict, dataclass
 
 from repro.merge.packet import ExecPacket
 from repro.sim.cache import Cache, PerfectCache
@@ -70,31 +64,10 @@ __all__ = [
     "BatchEngine",
     "ENGINES",
     "Engine",
-    "EngineStats",
     "FastEngine",
     "ReferenceEngine",
     "make_engine",
 ]
-
-
-@dataclass
-class EngineStats:
-    """Acceleration-structure counters one engine accumulated.
-
-    All engines expose the same shape (per-cell engines report zeros),
-    so cell metadata is uniform across engines.
-    """
-
-    engine: str
-    #: grouped-lockstep activity: cells sharing this cell's group, groups
-    #: run, solo fallbacks.  Only ``run_workloads_batch`` results count
-    #: groups; ``BatchEngine`` reports each cell as one solo fallback.
-    batch_cells: int = 0
-    batch_groups: int = 0
-    batch_fallback_cells: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 class Engine:
@@ -117,10 +90,6 @@ class Engine:
         ``"timeslice"`` when the cycle budget is exhausted first.
         """
         raise NotImplementedError
-
-    def engine_stats(self) -> EngineStats:
-        """Acceleration counters accumulated so far (zeros by default)."""
-        return EngineStats(engine=self.name)
 
 
 class ReferenceEngine(Engine):
@@ -689,15 +658,10 @@ class BatchEngine(FastEngine):
     fast engine's.  The grouped lockstep simulator
     (:func:`repro.sim.batch.run_workloads_batch`) stays a library for
     its differential suite and the benchmark harness; nothing in the
-    program calls it.  Its stats report the cell as a solo fallback.
+    program calls it.
     """
 
     name = "batch"
-
-    def engine_stats(self) -> EngineStats:
-        st = super().engine_stats()
-        st.batch_fallback_cells = 1
-        return st
 
 
 #: engine registry, keyed by CLI/config name.

@@ -28,11 +28,9 @@ __all__ = ["Multitasker", "RunResult"]
 class RunResult:
     """Outcome of one multiprogrammed run.
 
-    ``engine_stats`` is the engine's acceleration-counter snapshot
-    (:meth:`repro.sim.engine.EngineStats.as_dict`): the engine's name
-    and its lockstep-group counters.  It is diagnostic metadata — never
-    part of the bit-identity contract between engines — recorded so
-    result stores can explain how a cell ran.
+    ``engine_stats`` is always ``None``: nothing sets it.  The field
+    stays only because the campaign benchmark's tracer
+    (``perfbench/spans.py``) still reads it.
     """
 
     stats: object
@@ -149,12 +147,9 @@ class Multitasker:
                 f"(IPC reads 0.0); raise max_cycles or lower "
                 f"warmup_instrs",
                 RuntimeWarning, stacklevel=2)
-        engine = getattr(core, "engine", None)
         return RunResult(
             stats=core.stats,
             threads=self.threads,
             icache=core.icache,
             dcache=core.dcache,
-            engine_stats=(engine.engine_stats().as_dict()
-                          if engine is not None else None),
         )

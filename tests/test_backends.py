@@ -60,6 +60,31 @@ _MANIFESTS = st.fixed_dictionaries({
 })
 
 
+#: one cell's metadata as older releases recorded it.
+_LEGACY_META = {"engine": "fast", "engine_stats": {
+    "engine": "fast", "batch_cells": 0, "batch_groups": 0,
+    "batch_fallback_cells": 0}}
+
+
+def _write_legacy_meta(backend, experiment: str, meta: dict) -> None:
+    """Record ``{key: meta}`` where older releases kept it: a directory's
+    ``meta/<experiment>.json``, or the ``meta`` column of an SQLite
+    store's existing rows."""
+    if isinstance(backend, DirectoryBackend):
+        os.makedirs(os.path.join(backend.path, "meta"), exist_ok=True)
+        atomic_write_text(
+            os.path.join(backend.path, "meta", f"{experiment}.json"),
+            json.dumps(meta, indent=0, sort_keys=True))
+        return
+    conn = sqlite3.connect(backend.path)
+    conn.executemany(
+        "UPDATE cells SET meta = ? WHERE experiment = ? AND key = ?",
+        [(json.dumps(m, sort_keys=True), experiment, k)
+         for k, m in meta.items()])
+    conn.commit()
+    conn.close()
+
+
 def _backend(kind: str, tmp_path, name: str):
     if kind == "dir":
         return DirectoryBackend(str(tmp_path / name))
@@ -106,16 +131,19 @@ class TestBackendRoundTrip:
         assert not os.path.exists(backend.path)
 
     def test_cell_meta_round_trip(self, kind, tmp_path):
-        """Metadata is written in the same ``save_cells`` call as the
-        values it describes, for the keys it names."""
+        """Metadata an older release recorded reads back; saving values
+        neither adds metadata nor erases it."""
         backend = _backend(kind, tmp_path, "meta")
         key = "workload:LLLL:3CCC:base"
-        meta = {"engine": "fast", "engine_stats": {"engine": "fast"}}
-        backend.save_cells("fig10", {key: 1.5, "other": 2.0}, {key: meta})
-        backend.save_cells("fig10", {key: 1.5}, {key: meta})
+        backend.save_cells("fig10", {key: 1.5, "other": 2.0})
+        backend.close()
+        assert open_backend(backend.url).load_cell_meta("fig10") == {}
+        _write_legacy_meta(backend, "fig10", {key: _LEGACY_META})
+        backend.save_cells("fig10", {key: 1.5})
+        backend.close()
         fresh = open_backend(backend.url)
         assert fresh.load_cells("fig10") == {key: 1.5, "other": 2.0}
-        assert fresh.load_cell_meta("fig10") == {key: meta}
+        assert fresh.load_cell_meta("fig10") == {key: _LEGACY_META}
         assert fresh.load_cell_meta("other") == {}
 
     def test_save_cells_keeps_earlier_cells(self, kind, tmp_path):
@@ -202,27 +230,29 @@ class _Killed(Exception):
 
 class TestDirectoryJournal:
     """A ``dir:`` store appends each finished cell to
-    ``cells/<exp>.jsonl`` and folds the journal into the complete
-    ``cells/``/``meta/`` files on every manifest write and on close."""
+    ``cells/<exp>.jsonl`` as one ``{key: value}`` line and folds the
+    journal into the complete ``cells/`` file on every manifest write
+    and on close."""
 
     def test_torn_final_line_is_skipped(self, tmp_path):
         backend = DirectoryBackend(str(tmp_path / "run"))
-        backend.save_cells("x", {"k1": 1.0}, {"k1": {"engine": "fast"}})
+        backend.save_cells("x", {"k1": 1.0})
         journal = tmp_path / "run" / "cells" / "x.jsonl"
+        assert journal.read_bytes() == b'\n{"k1": 1.0}'
         with open(journal, "ab") as f:  # a writer killed mid-append
-            f.write(b'\n[{"k2": 2.5}, {"k2": {"eng')
+            f.write(b'\n{"k2": 2.')
         fresh = DirectoryBackend(str(tmp_path / "run"))
         assert fresh.experiments_with_cells() == ["x"]
         assert fresh.load_cells("x") == {"k1": 1.0}
-        assert fresh.load_cell_meta("x") == {"k1": {"engine": "fast"}}
         fresh.close()  # the fold drops the in-flight cell with its journal
         assert not journal.exists()
         assert fresh.load_cells("x") == {"k1": 1.0}
-        assert fresh.load_cell_meta("x") == {"k1": {"engine": "fast"}}
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "cells"]
 
     def test_journal_only_experiment_is_listed_and_merged(self, tmp_path):
         src = open_store(tmp_path / "src", {"f": 1})
-        src.record_cell("x", "k1", 1.0, {"engine": "fast"})
+        src.record_cell("x", "k1", 1.0)
         src.record_cell("x", "k2", 2.0)
         # killed here: no manifest write and no close, so no fold yet
         cells_dir = tmp_path / "src" / "cells"
@@ -248,7 +278,7 @@ class TestDirectoryJournal:
         ref = tmp_path / "ref"
         with Session(config=TINY, store=str(ref)) as session:
             session.run("fig4")
-        real = runner.run_cell_detailed
+        real = runner.run_cell
         finished = []
 
         def dying(cell, *args, **kw):
@@ -257,25 +287,25 @@ class TestDirectoryJournal:
             finished.append(cell.key)
             return real(cell, *args, **kw)
 
-        monkeypatch.setattr(runner, "run_cell_detailed", dying)
+        monkeypatch.setattr(runner, "run_cell", dying)
         killed = tmp_path / "killed"
         with pytest.raises(_Killed):
             Session(config=TINY, store=str(killed)).run("fig4")
         journal = killed / "cells" / "fig4.jsonl"
         with open(journal, "ab") as f:  # the in-flight cell, torn
-            f.write(b'\n[{"workload:LLLL:ST:base": 1.')
+            f.write(b'\n{"workload:LLLL:ST:base": 1.')
         assert not (killed / "cells" / "fig4.json").exists()
 
-        monkeypatch.setattr(runner, "run_cell_detailed", real)
+        monkeypatch.setattr(runner, "run_cell", real)
         resumed = Session(config=TINY, store=str(killed))
         resumed.run("fig4")
         assert resumed.last_grid.executed == 27 - 10
         assert resumed.last_grid.reused == 10
         # the grid's closing manifest write left today's files, no journal
-        for sub in ("cells", "meta"):
-            assert ((killed / sub / "fig4.json").read_bytes()
-                    == (ref / sub / "fig4.json").read_bytes())
+        assert ((killed / "cells" / "fig4.json").read_bytes()
+                == (ref / "cells" / "fig4.json").read_bytes())
         assert not list((killed / "cells").glob("*.jsonl"))
+        assert not (killed / "meta").exists()
         resumed.close()
 
     def test_second_resume_leaves_the_manifest_alone(self, tmp_path):
@@ -297,34 +327,30 @@ class TestDirectoryJournal:
         for _ in range(2):
             with Session(config=TINY, store=str(run)) as session:
                 session.run("fig4")
-        at_rest = {sub: (run / sub / "fig4.json").read_bytes()
-                   for sub in ("cells", "meta")}
+        at_rest = (run / "cells" / "fig4.json").read_bytes()
         key = "workload:LLLL:ST:base"
-        value = json.loads(at_rest["cells"])[key]
-        meta = json.loads(at_rest["meta"])[key]
+        value = json.loads(at_rest)[key]
         journal = run / "cells" / "fig4.jsonl"
         with open(journal, "ab") as f:  # a writer killed before its fold
-            f.write(("\n" + json.dumps([{key: value}, {key: meta}]))
-                    .encode())
+            f.write(("\n" + json.dumps({key: value})).encode())
         session = Session(config=TINY, store=str(run))
         session.run("fig4")
         assert session.last_grid.executed == 0
         assert journal.exists()  # the unchanged manifest was not written
         session.close()
         assert not journal.exists()
-        for sub, data in at_rest.items():
-            assert (run / sub / "fig4.json").read_bytes() == data
+        assert (run / "cells" / "fig4.json").read_bytes() == at_rest
 
     def test_write_cost_per_cell_is_constant(self, tmp_path, monkeypatch):
         """Doubling an experiment's cells doubles its journal and leaves
-        the number of ``cells/``/``meta/`` rewrites unchanged."""
+        the grid's one ``cells/`` rewrite unchanged."""
         from repro.eval.backends import directory
 
         real = directory.atomic_write_text
         rewrites = []
 
         def counting(path, text):
-            if os.path.basename(os.path.dirname(path)) in ("cells", "meta"):
+            if os.path.basename(os.path.dirname(path)) == "cells":
                 rewrites.append(path)
             real(path, text)
 
@@ -335,13 +361,72 @@ class TestDirectoryJournal:
             rewrites.clear()
             for i in range(n):
                 store.record_cell("fig10", f"workload:LLLL:c{i:03d}:base",
-                                  1.5, {"engine": "fast"})
+                                  1.5)
             journal_bytes[n] = os.path.getsize(
                 os.path.join(store.path, "cells", "fig10.jsonl"))
             store.update_manifest("fig10", cells=n)  # the grid's end
             rewrite_counts[n] = len(rewrites)
-        assert rewrite_counts[20] == rewrite_counts[40] == 2
+        assert rewrite_counts[20] == rewrite_counts[40] == 1
         assert journal_bytes[40] == 2 * journal_bytes[20]
+
+
+class TestLegacyMetadataStores:
+    """Stores written by releases that recorded per-cell metadata: a
+    ``dir:`` run with ``meta/`` files and ``[cells, meta]`` journal
+    lines, and a version-2 SQLite file whose rows carry ``meta``.  Both
+    resume without simulating, and their metadata still reads back."""
+
+    @staticmethod
+    def _fresh_run(url: str) -> dict:
+        with Session(config=TINY, store=url) as session:
+            session.run("fig4")
+            return dict(session.last_grid.values)
+
+    def test_fresh_stores_record_no_metadata(self, tmp_path):
+        self._fresh_run(str(tmp_path / "run"))
+        assert not (tmp_path / "run" / "meta").exists()
+        self._fresh_run(f"sqlite:{tmp_path / 'run.db'}")
+        conn = sqlite3.connect(tmp_path / "run.db")
+        assert conn.execute("SELECT COUNT(*) FROM cells "
+                            "WHERE meta IS NOT NULL").fetchone() == (0,)
+        conn.close()
+
+    def test_directory_run_with_meta_files_and_journal(self, tmp_path):
+        run = tmp_path / "run"
+        values = self._fresh_run(str(run))
+        at_rest = (run / "cells" / "fig4.json").read_bytes()
+        # rebuild the older layout: one cell only in a trailing
+        # [cells, meta] journal line, every other cell's meta in meta/
+        key = "workload:LLLL:ST:base"
+        atomic_write_text(str(run / "cells" / "fig4.json"), json.dumps(
+            {k: v for k, v in values.items() if k != key}, indent=0,
+            sort_keys=True))
+        meta = dict.fromkeys((k for k in values if k != key), _LEGACY_META)
+        _write_legacy_meta(DirectoryBackend(str(run)), "fig4", meta)
+        journal = run / "cells" / "fig4.jsonl"
+        journal.write_text("\n" + json.dumps(
+            [{key: values[key]}, {key: _LEGACY_META}]))
+        assert RunStore(run).load_cells("fig4") == values
+        with Session(config=TINY, store=str(run)) as session:
+            session.run("fig4")
+            assert session.last_grid.executed == 0
+            assert session.last_grid.reused == len(values)
+        # the fold kept the value and dropped the journal's meta half
+        assert not journal.exists()
+        assert (run / "cells" / "fig4.json").read_bytes() == at_rest
+        assert RunStore(run).load_cell_meta("fig4") == meta
+
+    def test_sqlite_file_whose_rows_carry_meta(self, tmp_path):
+        url = f"sqlite:{tmp_path / 'run.db'}"
+        values = self._fresh_run(url)
+        meta = dict.fromkeys(values, _LEGACY_META)
+        _write_legacy_meta(SQLiteBackend(str(tmp_path / "run.db")), "fig4",
+                           meta)
+        with Session(config=TINY, store=url) as session:
+            session.run("fig4")
+            assert session.last_grid.executed == 0
+            assert session.last_grid.reused == len(values)
+            assert session.store.load_cell_meta("fig4") == meta
 
 
 class TestAtomicWrite:

@@ -171,16 +171,6 @@ class TestGroupDifferential:
         assert run_workloads_batch([([], "1S")] * 3, DIFF_CONFIG) \
             == [None, None, None]
 
-    def test_results_carry_batch_engine_stats(self):
-        machine = paper_machine()
-        programs = workload_programs("LLLL", machine)
-        tasks = [(programs, s) for s in ("1S", "2SC3", "3CCC")]
-        for res in run_workloads_batch(tasks, DIFF_CONFIG):
-            es = res.engine_stats
-            assert es["engine"] == "batch"
-            assert es["batch_cells"] == len(tasks)
-            assert es["batch_groups"] == 1
-
 
 # -- property: any compatible group == its solo runs ------------------------
 

@@ -113,8 +113,7 @@ class TestClaiming:
             while (claim := backend.claim(worker, ttl=60)) is not None:
                 with lock:
                     claimed.append(claim["key"])
-                backend.finish("x", claim["key"], float(len(claim["key"])),
-                               {"worker": worker})
+                backend.finish("x", claim["key"], float(len(claim["key"])))
             backend.close()
 
         interval = sys.getswitchinterval()
@@ -132,7 +131,7 @@ class TestClaiming:
         assert sorted(claimed) == sorted(cells)
         backend = QueueBackend(path)
         assert backend.load_cells("x") == {k: float(len(k)) for k in cells}
-        assert len(backend.load_cell_meta("x")) == len(cells)
+        assert backend.load_cell_meta("x") == {}
         assert backend.queue_counts()["done"] == len(cells)
 
     def test_stale_claim_is_reclaimed_with_attempt_increment(self, tmp_path):
@@ -168,16 +167,31 @@ class TestClaiming:
         late = backend.claim("slow", ttl=10, now=100.0)
         rescued = backend.claim("rescuer", ttl=10, now=111.0)
         backend.finish(rescued["experiment"], rescued["key"], 1.0)
-        backend.fail(late["experiment"], late["key"], "RuntimeError: late")
+        backend.fail(late["experiment"], late["key"], "slow",
+                     "RuntimeError: late")
         assert backend.queue_counts() == {"open": 0, "claimed": 0,
                                           "done": 1, "failed": 0}
 
-    def test_heartbeat_keeps_a_slow_worker_alive(self, tmp_path):
+    def test_stale_claimant_cannot_touch_the_new_claim(self, tmp_path):
+        """Release and fail act only on the caller's own claim: once a
+        rescuer reclaimed the cell, the stale claimant's release or
+        failure leaves the rescuer's claim in flight."""
         backend = QueueBackend(str(tmp_path / "q.db"))
         backend.enqueue("x", _dummy_cells(1))
-        backend.claim("slow", ttl=10, now=100.0)
-        backend.beat("slow", now=109.0)  # pulse just before expiry
-        assert backend.claim("thief", ttl=10, now=115.0) is None
+        stale = backend.claim("slow", ttl=10, now=100.0)
+        rescued = backend.claim("rescuer", ttl=10, now=200.0)
+        assert rescued["attempt"] == 2
+        backend.release(stale["experiment"], stale["key"], "slow",
+                        "RuntimeError: late")
+        backend.fail(stale["experiment"], stale["key"], "slow",
+                     "RuntimeError: late")
+        (row,) = backend.queue_rows()
+        assert (row["status"], row["worker"], row["attempt"]) == (
+            "claimed", "rescuer", 2)
+        assert row["error"] is None
+        # the claimant itself still releases its claim
+        backend.release(rescued["experiment"], rescued["key"], "rescuer")
+        assert backend.queue_counts()["open"] == 1
 
     def test_enqueue_is_idempotent_and_respects_recorded_values(
             self, tmp_path):
@@ -353,8 +367,8 @@ class TestWorkerLoop:
         init_queue(url, SPEC)
         executed = []
         monkeypatch.setattr(
-            "repro.eval.queue.run_cell_detailed",
-            lambda cell, config, programs: executed.append(cell.key) or (1.0, {}))
+            "repro.eval.queue.run_cell",
+            lambda cell, config, programs: executed.append(cell.key) or 1.0)
         report = run_worker(url, worker_id="w1")
         assert report.executed == 2 and report.failed == 0
         assert sorted(executed) == sorted(c.key for c in SPEC.cells())
@@ -372,13 +386,13 @@ class TestWorkerLoop:
         executed: list[str] = []
         lock = threading.Lock()
 
-        def fake_run_cell_detailed(cell, config, programs):
+        def fake_run_cell(cell, config, programs):
             with lock:
                 executed.append(cell.key)
             time.sleep(0.002)  # encourage interleaving
-            return 1.0, {}
+            return 1.0
 
-        monkeypatch.setattr("repro.eval.queue.run_cell_detailed", fake_run_cell_detailed)
+        monkeypatch.setattr("repro.eval.queue.run_cell", fake_run_cell)
         reports = []
         threads = [threading.Thread(
             target=lambda i=i: reports.append(
@@ -403,8 +417,8 @@ class TestWorkerLoop:
         abandoned = crashed.claim("crashed", ttl=300)
         assert abandoned is not None
         crashed.close()
-        monkeypatch.setattr("repro.eval.queue.run_cell_detailed",
-                            lambda cell, config, programs: (1.0, {}))
+        monkeypatch.setattr("repro.eval.queue.run_cell",
+                            lambda cell, config, programs: 1.0)
         time.sleep(0.06)
         report = run_worker(url, worker_id="rescuer", ttl=0.05, poll=0.01)
         assert report.executed == 2
@@ -421,9 +435,9 @@ class TestWorkerLoop:
         def flaky(cell, config, programs):
             if cell.key == bad_key:
                 raise RuntimeError("transient blowup")
-            return 1.0, {}
+            return 1.0
 
-        monkeypatch.setattr("repro.eval.queue.run_cell_detailed", flaky)
+        monkeypatch.setattr("repro.eval.queue.run_cell", flaky)
         report = run_worker(url, worker_id="w1")
         assert report.executed == 1 and report.failed == 1
         status = queue_status(url)
@@ -431,8 +445,8 @@ class TestWorkerLoop:
         (row,) = status.failed
         assert "transient blowup" in row["error"]
         # operator fixes the cause, reopens, re-drains
-        monkeypatch.setattr("repro.eval.queue.run_cell_detailed",
-                            lambda cell, config, programs: (1.0, {}))
+        monkeypatch.setattr("repro.eval.queue.run_cell",
+                            lambda cell, config, programs: 1.0)
         assert reset_failed(url) == 1
         assert run_worker(url, worker_id="w2").executed == 1
         assert queue_status(url).drained
@@ -450,9 +464,9 @@ class TestWorkerLoop:
             n = attempts[cell.key] = attempts.get(cell.key, 0) + 1
             if n == 1:
                 raise RuntimeError("transient blowup")
-            return 1.0, {}
+            return 1.0
 
-        monkeypatch.setattr("repro.eval.queue.run_cell_detailed", flaky)
+        monkeypatch.setattr("repro.eval.queue.run_cell", flaky)
         lines: list[str] = []
         report = run_worker(url, worker_id="w1", poll=0.01,
                             progress=lines.append)
@@ -475,9 +489,9 @@ class TestWorkerLoop:
         def poison(cell, config, programs):
             if cell.key == bad_key:
                 raise RuntimeError("deterministic blowup")
-            return 1.0, {}
+            return 1.0
 
-        monkeypatch.setattr("repro.eval.queue.run_cell_detailed", poison)
+        monkeypatch.setattr("repro.eval.queue.run_cell", poison)
         report = run_worker(url, worker_id="w1", poll=0.01,
                             max_attempts=3)
         assert report.executed == 1 and report.failed == 1
@@ -491,8 +505,8 @@ class TestWorkerLoop:
         init_queue(url, SPEC)
         holder = QueueBackend(str(tmp_path / "camp.db"))
         held = holder.claim("other-worker", ttl=300)
-        monkeypatch.setattr("repro.eval.queue.run_cell_detailed",
-                            lambda cell, config, programs: (1.0, {}))
+        monkeypatch.setattr("repro.eval.queue.run_cell",
+                            lambda cell, config, programs: 1.0)
         report = run_worker(url, worker_id="w1", wait=False)
         assert report.executed == 1  # only the remaining open cell
         assert held["key"] not in report.keys
@@ -501,8 +515,8 @@ class TestWorkerLoop:
     def test_max_cells_bounds_a_worker(self, tmp_path, monkeypatch):
         url = _url(tmp_path)
         init_queue(url, SPEC)
-        monkeypatch.setattr("repro.eval.queue.run_cell_detailed",
-                            lambda cell, config, programs: (1.0, {}))
+        monkeypatch.setattr("repro.eval.queue.run_cell",
+                            lambda cell, config, programs: 1.0)
         assert run_worker(url, max_cells=1).executed == 1
         assert queue_status(url).counts["open"] == 1
 
@@ -748,7 +762,8 @@ class TestDrainIdentity:
         init_queue(url, SPEC)
         backend = QueueBackend(str(tmp_path / "camp.db"))
         claim = backend.claim("w1", ttl=60)
-        backend.fail(claim["experiment"], claim["key"], "RuntimeError: x")
+        backend.fail(claim["experiment"], claim["key"], "w1",
+                     "RuntimeError: x")
         backend.close()
         old = f"dir:{tmp_path / 'old'}"
         Session(config=default_config(0.05), store=old).sweep(2, ["LLLL"])
@@ -766,14 +781,14 @@ class TestDrainIdentity:
 # ----------------------------------------------------------------------
 class TestStatementBudget:
     @pytest.mark.parametrize("engine", ["fast", "batch"])
-    def test_drain_costs_at_most_six_statements_per_cell(
+    def test_drain_costs_exactly_five_statements_per_cell(
             self, tmp_path, monkeypatch, engine):
         """Per executed cell: a 4-statement claim (BEGIN IMMEDIATE,
-        stale-fail UPDATE, claiming UPDATE ... RETURNING, COMMIT), a
-        1-statement finish and 1 heartbeat; 8 more for opening the
-        store, the final empty claim and the idle check.  The lockfile
-        is still taken once per claim and once per finish.  A batch
-        campaign drains cell by cell too, at exactly the same cost."""
+        stale-fail UPDATE, claiming UPDATE ... RETURNING, COMMIT) and a
+        1-statement finish; 8 more for opening the store, the final
+        empty claim and the idle check.  The lockfile is taken once per
+        claim and once per finish.  A batch campaign drains cell by cell
+        too, at exactly the same cost, and no row gets metadata."""
         spec = CampaignSpec(experiment="sweep2", scale=0.05,
                             engine=engine)  # 18 cells
         url = _url(tmp_path)
@@ -795,31 +810,26 @@ class TestStatementBudget:
 
         monkeypatch.setattr(sqlite3, "connect", traced_connect)
         monkeypatch.setattr(_FileLock, "__enter__", counted_enter)
-        monkeypatch.setattr(
-            "repro.eval.queue.run_cell_detailed",
-            lambda cell, config, programs: (1.0, {"engine": "fast"}))
+        monkeypatch.setattr("repro.eval.queue.run_cell",
+                            lambda cell, config, programs: 1.0)
         report = run_worker(url, worker_id="w1")
         cells = len(spec.cells())
         assert report.executed == cells == 18
-        assert len(statements) == 6 * cells + 8, statements
+        assert len(statements) == 5 * cells + 8, statements
         claims = cells + 1  # the last claim finds the queue empty
         assert len(locks) == claims + cells
         monkeypatch.undo()
         backend = QueueBackend(str(tmp_path / "camp.db"))
-        meta = backend.load_cell_meta(spec.experiment)
-        assert meta == {c.key: {"engine": "fast"} for c in spec.cells()}
+        assert backend.load_cell_meta(spec.experiment) == {}
         backend.close()
 
     def test_store_write_costs_at_most_three_statements_per_cell(
             self, tmp_path, monkeypatch):
-        """A ``sqlite:`` sweep records each cell's value and metadata in
-        one ``save_cells`` transaction (BEGIN IMMEDIATE, upsert,
-        COMMIT); 3 more statements read the cells and update the
-        manifest.  Two writes per cell (value, then metadata) cost 75
-        statements for these 18 cells."""
-        monkeypatch.setattr(
-            "repro.eval.runner.run_cell_detailed",
-            lambda cell, config, programs: (1.0, {"engine": "fast"}))
+        """A ``sqlite:`` sweep records each cell's value in one
+        ``save_cells`` transaction (BEGIN IMMEDIATE, upsert, COMMIT); 3
+        more statements read the cells and update the manifest."""
+        monkeypatch.setattr("repro.eval.runner.run_cell",
+                            lambda cell, config, programs: 1.0)
         session = Session(scale=0.05, store=f"sqlite:{tmp_path / 'c.db'}")
         statements: list[str] = []
         session.store.backend._conn.set_trace_callback(statements.append)
@@ -827,9 +837,7 @@ class TestStatementBudget:
         cells = session.last_grid.executed
         assert cells == 18
         assert len(statements) <= 3 * cells + 3, statements
-        meta = session.store.load_cell_meta("sweep2")
-        assert meta == dict.fromkeys(session.last_grid.values,
-                                     {"engine": "fast"})
+        assert session.store.load_cell_meta("sweep2") == {}
         session.close()
 
 

@@ -77,7 +77,7 @@ class TestParallelEqualsSerial:
         """An inline (``jobs=1``) ``engine="batch"`` grid runs each cell
         as one fast-engine simulation, never a lockstep group: its
         values equal ``engine="fast"``'s and a ``jobs=2`` pool's, and
-        each cell's meta names the batch engine."""
+        the store records exactly those values."""
         from repro.sim import batch
 
         def no_groups(*args, **kwargs):
@@ -94,13 +94,7 @@ class TestParallelEqualsSerial:
         pooled = run_cells(cells, config, machine, jobs=2)
         assert inline.executed == pooled.executed == len(cells)
         assert inline.values == fast.values == pooled.values
-        meta = store.load_cell_meta("fig4")
-        assert set(meta) == {c.key for c in cells}
-        for entry in meta.values():
-            assert entry["engine"] == "batch"
-            assert entry["engine_stats"] == {
-                "engine": "batch", "batch_cells": 0, "batch_groups": 0,
-                "batch_fallback_cells": 1}
+        assert store.load_cells("fig4") == inline.values
 
 
 class TestSharedWalks:
@@ -140,13 +134,13 @@ class TestSharedWalks:
         ref = run_cells(self.CELLS, TINY, machine).values
         assert run_cells(self.CELLS[::-1], TINY, machine).values == ref
         assert run_cells(self.CELLS, TINY, machine, jobs=2).values == ref
-        real = runner.run_cell_detailed
+        real = runner.run_cell
 
         def releasing(*args, **kw):
             stream.release_walks()
             return real(*args, **kw)
 
-        monkeypatch.setattr(runner, "run_cell_detailed", releasing)
+        monkeypatch.setattr(runner, "run_cell", releasing)
         assert run_cells(self.CELLS, TINY, machine).values == ref
 
 
@@ -224,24 +218,20 @@ class TestRunStore:
         assert RunStore(store.path).load_cells("figX") == {
             "workload:LLLL:ST:base": 1.25}
 
-    def test_grid_records_cell_meta(self, tmp_path, machine):
-        """Executed cells leave diagnostic metadata (engine + stats)
-        beside their values — resume neither needs nor re-writes it."""
+    def test_grid_records_values_only(self, tmp_path, machine):
+        """Executed cells leave their values and nothing else: no
+        ``meta/`` directory and no metadata."""
         cfg = SimConfig(instr_limit=300, timeslice=150, warmup_instrs=60,
                         engine="fast")
         store = open_store(tmp_path / "r")
         cells = [Cell("figX", "workload", "LLLL", s)
                  for s in ("1S", "3CCC")]
-        run_cells(cells, cfg, machine, store=store)
-        meta = store.load_cell_meta("figX")
-        assert set(meta) == {c.key for c in cells}
-        entry = meta[cells[1].key]
-        assert entry["engine"] == "fast"
-        assert entry["engine_stats"]["engine"] == "fast"
-        # resumed runs execute nothing and leave the metadata alone
-        again = run_cells(cells, cfg, machine, store=RunStore(store.path))
-        assert again.executed == 0
-        assert RunStore(store.path).load_cell_meta("figX") == meta
+        grid = run_cells(cells, cfg, machine, store=store)
+        store.close()
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == [
+            "cells", "manifest.json"]
+        assert RunStore(store.path).load_cells("figX") == grid.values
+        assert RunStore(store.path).load_cell_meta("figX") == {}
 
     def test_artifact_roundtrip(self, tmp_path, machine):
         store = open_store(tmp_path / "r")
