@@ -12,14 +12,14 @@ satisfy the :class:`StoreBackend` protocol, are selected by URL —
 meaning ``dir:`` — and interoperate:
 :func:`~repro.eval.store.merge_runs` unions cells across backends, and a
 campaign started in one backend can be merged into, and resumed from,
-any other.
+any other.  Backend classes resolve on first use, so the SQLite module
+(and :mod:`sqlite3`) loads at the first ``sqlite:`` or ``queue:`` open.
 """
 
 from __future__ import annotations
 
+from repro.eval import _lazy_exports
 from repro.eval.backends.base import StoreBackend, parse_store_url
-from repro.eval.backends.directory import DirectoryBackend
-from repro.eval.backends.sqlite import QueueBackend, SQLiteBackend
 
 __all__ = [
     "DirectoryBackend",
@@ -30,11 +30,19 @@ __all__ = [
     "parse_store_url",
 ]
 
-_BACKENDS = {"dir": DirectoryBackend, "sqlite": SQLiteBackend,
-             "queue": QueueBackend}
+#: backend class -> the submodule that defines it, imported on first
+#: use: a ``dir:`` campaign never loads :mod:`sqlite3`.
+_MODULE_OF = {"DirectoryBackend": "directory", "SQLiteBackend": "sqlite",
+              "QueueBackend": "sqlite"}
+
+__getattr__, __dir__ = _lazy_exports(globals(), _MODULE_OF)
+
+#: store URL scheme -> its backend class.
+_BACKENDS = {"dir": "DirectoryBackend", "sqlite": "SQLiteBackend",
+             "queue": "QueueBackend"}
 
 
 def open_backend(url: str) -> StoreBackend:
     """Instantiate the backend a store URL names (without creating it)."""
     scheme, path = parse_store_url(str(url))
-    return _BACKENDS[scheme](path)
+    return __getattr__(_BACKENDS[scheme])(path)

@@ -59,7 +59,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import socket
 import sqlite3
 import time
 
@@ -189,6 +188,8 @@ class _FileLock:
                         f"it if the holding process is gone)") from None
                 time.sleep(self.poll)
             else:
+                import socket
+
                 with os.fdopen(fd, "w") as f:
                     f.write(f"{socket.gethostname()}:{os.getpid()} "
                             f"{time.time():.3f}\n")

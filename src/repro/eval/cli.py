@@ -72,24 +72,16 @@ from repro.arch import paper_machine, preset_machine
 from repro.cost import CostParams
 from repro.eval.api import Session
 from repro.eval.backends import parse_store_url
-from repro.eval.evaluator import rung_configs, rungs_from_spec
 from repro.eval.experiments import (
     EXPERIMENT_DEFS,
     default_config,
     experiment_cells,
 )
-from repro.eval.queue import (
-    CampaignSpec,
-    init_queue,
-    queue_status,
-    reset_failed,
-    run_worker,
-)
 from repro.eval.store import StoreMismatchError, merge_runs
-from repro.eval.scaling import scaling_report
-from repro.eval.search import run_search
-from repro.eval.sweep import candidate_table, sweep_experiment_id, sweep_threads
 from repro.sim.engine import ENGINES
+
+# The layers only some verbs run (sweep, search, scaling, queue) are
+# imported inside those verbs' handlers: `run` loads none of them.
 
 
 class _CliError(Exception):
@@ -301,6 +293,8 @@ def _cmd_sweep(argv) -> int:
                          "(no simulation)")
     args = ap.parse_args(argv)
 
+    from repro.eval.sweep import candidate_table
+
     _check_threads(args.threads)
     machine = paper_machine()
     if args.list:
@@ -396,6 +390,11 @@ def _cmd_search(argv) -> int:
     _add_sim_args(ap)
     args = ap.parse_args(argv)
 
+    from repro.eval.evaluator import rung_configs, rungs_from_spec
+    from repro.eval.queue import CampaignSpec
+    from repro.eval.search import run_search
+    from repro.eval.sweep import sweep_experiment_id
+
     _check_threads(args.threads)
     try:
         rungs = rungs_from_spec(args.rungs)
@@ -475,6 +474,9 @@ def _cmd_matrix(argv) -> int:
                          "gate-delay budget")
     _add_sim_args(ap)
     args = ap.parse_args(argv)
+
+    from repro.eval.scaling import scaling_report
+    from repro.eval.sweep import sweep_threads
 
     tags = _parse_list(args.machines) or []
     if len(tags) < 2:
@@ -609,6 +611,8 @@ def _cmd_queue_init(argv) -> int:
                     help="simulation engine for every cell")
     args = ap.parse_args(argv)
 
+    from repro.eval.queue import CampaignSpec, init_queue
+
     workloads = _parse_list(args.workloads, upper=True)
     machines = _parse_list(args.machines) or ()
     _base_config(args)  # name a bad --scale before the spec refuses it
@@ -660,6 +664,8 @@ def _cmd_worker(argv) -> int:
                          "done")
     args = ap.parse_args(argv)
 
+    from repro.eval.queue import run_worker
+
     t0 = time.time()
     try:
         report = run_worker(_queue_url(args.queue), worker_id=args.id,
@@ -688,6 +694,9 @@ def _cmd_queue_status(argv) -> int:
                     help="heartbeat age that counts as stale in the "
                          "report (default 300)")
     args = ap.parse_args(argv)
+
+    from repro.eval.queue import queue_status
+
     try:
         status = queue_status(_queue_url(args.queue), ttl=args.ttl)
     except (StoreMismatchError, ValueError) as exc:
@@ -710,6 +719,9 @@ def _cmd_reset_failed(argv) -> int:
                          "older than this (0 releases every claim — "
                          "only safe once the claiming workers are dead)")
     args = ap.parse_args(argv)
+
+    from repro.eval.queue import reset_failed
+
     try:
         reopened = reset_failed(_queue_url(args.queue),
                                 stale_ttl=args.stale_ttl)

@@ -49,13 +49,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import socket
 import time
-import uuid
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.arch import preset_machine
-from repro.eval.backends import QueueBackend, open_backend
+from repro.eval.backends import open_backend
 from repro.eval.experiments import (
     EXPERIMENT_DEFS,
     cell_factory,
@@ -65,6 +64,9 @@ from repro.eval.runner import Cell, ProgramSet, check_tag, run_cell
 from repro.eval.store import RunStore, open_store, run_fingerprint
 from repro.eval.sweep import sweep_cells, sweep_threads
 from repro.trace.stream import release_walks
+
+if TYPE_CHECKING:
+    from repro.eval.backends.sqlite import QueueBackend
 
 __all__ = [
     "CampaignSpec",
@@ -84,6 +86,8 @@ DEFAULT_MAX_ATTEMPTS = 3
 
 def _as_queue(store) -> QueueBackend:
     """Coerce a URL / backend / RunStore into a QueueBackend."""
+    from repro.eval.backends.sqlite import QueueBackend
+
     if isinstance(store, RunStore):
         store = store.backend
     if isinstance(store, QueueBackend):
@@ -314,8 +318,9 @@ class WorkerReport:
 
 def default_worker_id() -> str:
     """host-pid-suffix: unique per process, readable in queue-status."""
-    return (f"{socket.gethostname()}-{os.getpid()}-"
-            f"{uuid.uuid4().hex[:6]}")
+    import socket
+
+    return f"{socket.gethostname()}-{os.getpid()}-{os.urandom(3).hex()}"
 
 
 def run_worker(store, *, worker_id: str | None = None,

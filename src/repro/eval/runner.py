@@ -32,8 +32,6 @@ alone: which engine ran it is no part of it.
 
 from __future__ import annotations
 
-import difflib
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 from repro.arch import paper_machine
@@ -144,6 +142,8 @@ class GridResult:
         try:
             return self.values[key]
         except KeyError:
+            import difflib
+
             near = difflib.get_close_matches(key, self.values, n=3)
             hint = f"; nearest recorded keys: {near}" if near else ""
             raise KeyError(
@@ -274,6 +274,12 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
         for cell in pending:
             record(cell.key, run_cell(cell, config, programs))
     else:
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ProcessPoolExecutor,
+            wait,
+        )
+
         # resolve every program before forking: the workers inherit
         # the filled set and look nothing up again
         for cell in pending:

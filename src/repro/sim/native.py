@@ -35,11 +35,7 @@ source so editing the kernels invalidates stale builds.
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
 import os
-import subprocess
-import tempfile
 
 __all__ = ["get_native"]
 
@@ -250,6 +246,8 @@ _tried = False
 
 
 def _cache_dir() -> str:
+    import tempfile
+
     cdir = os.environ.get("REPRO_CACHE_DIR")
     if cdir:
         return os.path.join(cdir, "native")
@@ -260,7 +258,14 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
 
 
-def _build() -> ctypes.CDLL:
+def _build():
+    """Load the cached kernel library, compiling it on a miss (a
+    ``ctypes.CDLL``)."""
+    import ctypes
+    import hashlib
+    import subprocess
+    import tempfile
+
     digest = hashlib.sha256(_SRC.encode()).hexdigest()[:16]
     ndir = _cache_dir()
     os.makedirs(ndir, exist_ok=True)

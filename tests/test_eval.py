@@ -36,7 +36,8 @@ class TestResultObject:
     def test_save(self, tmp_path):
         r = ExperimentResult("x", "demo", ["a"], [(1,)])
         path = r.save(tmp_path)
-        assert json.load(open(path))["title"] == "demo"
+        with open(path) as f:
+            assert json.load(f)["title"] == "demo"
 
     def test_save_is_atomic(self, tmp_path, monkeypatch):
         """A failing write must leave the previous artifact intact (no
@@ -45,7 +46,8 @@ class TestResultObject:
 
         r = ExperimentResult("x", "demo", ["a"], [(1,)])
         path = r.save(tmp_path)
-        original = open(path).read()
+        with open(path) as f:
+            original = f.read()
 
         def boom(src, dst):
             raise OSError("disk full")
@@ -54,7 +56,8 @@ class TestResultObject:
         with pytest.raises(OSError, match="disk full"):
             ExperimentResult("x", "changed", ["a"], [(2,)]).save(tmp_path)
         monkeypatch.undo()
-        assert open(path).read() == original
+        with open(path) as f:
+            assert f.read() == original
         assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
 
     def test_render_table_alignment(self):

@@ -17,6 +17,8 @@ Backend *store* parity (round-trips, mixed-backend merge) is covered by
 import dataclasses
 import json
 import os
+import re
+import socket
 import sqlite3
 import sys
 import threading
@@ -39,6 +41,7 @@ from repro.eval.backends import QueueBackend
 from repro.eval.backends.sqlite import _FileLock
 from repro.eval.evaluator import DEFAULT_RUNGS, Evaluator, rung_configs
 from repro.eval.experiments import default_config, experiment_cells
+from repro.eval.queue import default_worker_id
 from repro.eval.search import run_search
 from repro.eval.sweep import SweepPlan
 
@@ -325,6 +328,13 @@ class TestCellRows:
 # init / worker / status / reset (the orchestration layer)
 # ----------------------------------------------------------------------
 class TestWorkerLoop:
+    def test_default_worker_id_is_host_pid_and_a_random_suffix(self):
+        worker_id = default_worker_id()
+        assert re.fullmatch(
+            rf"{re.escape(socket.gethostname())}-{os.getpid()}-[0-9a-f]{{6}}",
+            worker_id), worker_id
+        assert default_worker_id() != worker_id
+
     def test_init_is_idempotent_and_rejects_a_different_campaign(
             self, tmp_path):
         url = _url(tmp_path)

@@ -506,13 +506,15 @@ class TestCli:
                      "--out", run_dir]) == 0
         first = capsys.readouterr().out
         assert "cells: 27 simulated, 0 reused" in first
-        saved = json.load(open(f"{run_dir}/fig4.json"))
+        with open(f"{run_dir}/fig4.json") as f:
+            saved = json.load(f)
 
         assert main(["-e", "fig4", "--scale", "0.04",
                      "--resume", run_dir]) == 0
         second = capsys.readouterr().out
         assert "cells: 0 simulated, 27 reused" in second
-        resumed = json.load(open(f"{run_dir}/fig4.json"))
+        with open(f"{run_dir}/fig4.json") as f:
+            resumed = json.load(f)
         assert resumed["rows"] == saved["rows"]
 
         from repro.eval import default_config

@@ -397,13 +397,15 @@ class TestSweepCli:
                      "--scale", "0.03", "--out", run_dir]) == 0
         out = capsys.readouterr().out
         assert "frontier" in out
-        saved = json.load(open(f"{run_dir}/sweep2.json"))
+        with open(f"{run_dir}/sweep2.json") as f:
+            saved = json.load(f)
         assert saved["meta"]["threads"] == 2
         # resume: zero new simulations, identical artifact
         assert main(["sweep", "--threads", "2", "--workloads", "LLLL",
                      "--scale", "0.03", "--resume", run_dir]) == 0
         assert "cells: 0 simulated" in capsys.readouterr().out
-        assert json.load(open(f"{run_dir}/sweep2.json")) == saved
+        with open(f"{run_dir}/sweep2.json") as f:
+            assert json.load(f) == saved
 
     def test_shard_flow_matches_unsharded(self, tmp_path, capsys):
         args = ["sweep", "--threads", "2", "--workloads", "LLLL,HHHH",
@@ -417,8 +419,10 @@ class TestSweepCli:
                      str(tmp_path / "s1"), str(tmp_path / "s2")]) == 0
         assert main([*args, "--resume", str(tmp_path / "m")]) == 0
         capsys.readouterr()
-        full = json.load(open(tmp_path / "full" / "sweep2.json"))
-        merged = json.load(open(tmp_path / "m" / "sweep2.json"))
+        with open(tmp_path / "full" / "sweep2.json") as f:
+            full = json.load(f)
+        with open(tmp_path / "m" / "sweep2.json") as f:
+            merged = json.load(f)
         assert full == merged
 
     def test_shard_run_saves_no_final_artifact(self, tmp_path, capsys):
