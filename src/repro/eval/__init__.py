@@ -10,8 +10,7 @@ submodule that defines it, so ``from repro.eval import Session`` does
 not load the queue, the search or the SQLite backend; the backend
 loads at the first ``sqlite:`` or ``queue:`` open.  A verb imports the
 layer it runs: ``repro-eval worker`` loads :mod:`repro.eval.queue`,
-``repro-eval run`` does not.  (:mod:`repro.sim` still imports
-:mod:`repro.sim.batch` eagerly.)
+``repro-eval run`` does not.
 """
 
 import importlib

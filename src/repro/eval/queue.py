@@ -100,6 +100,17 @@ def _as_queue(store) -> QueueBackend:
     return backend
 
 
+def _existing_queue(store) -> QueueBackend:
+    """:func:`_as_queue` for the verbs that only read or repair a queue:
+    a path with no database file is refused, never created."""
+    backend = _as_queue(store)
+    if not os.path.exists(backend.path):
+        raise ValueError(
+            f"no queue database at {backend.path!r}; run "
+            f"`repro-eval queue-init` first")
+    return backend
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """Everything a stateless worker needs to execute campaign cells.
@@ -116,7 +127,7 @@ class CampaignSpec:
             id (``"fig10"``) or a sweep id (``"sweep3"``).
         scale: simulation length multiplier (``default_config(scale)``).
         engine: simulation engine name.  Workers run one cell per
-            claim on every engine; a lone ``batch`` cell runs on
+            claim on every engine; a ``batch`` cell runs on
             ``FastEngine``, so a batch campaign's values equal a fast
             one's.
         workloads: Table 2 workload subset for sweeps (None = all).
@@ -558,7 +569,7 @@ class QueueStatus:
 
 def queue_status(store, *, ttl: float = DEFAULT_TTL) -> QueueStatus:
     """Read one campaign's status (counts, workers, stale, failures)."""
-    return QueueStatus.read(_as_queue(store), ttl=ttl)
+    return QueueStatus.read(_existing_queue(store), ttl=ttl)
 
 
 def reset_failed(store, *, stale_ttl: float | None = None) -> int:
@@ -569,4 +580,4 @@ def reset_failed(store, *, stale_ttl: float | None = None) -> int:
     made cells fail, ``reset_failed(url, stale_ttl=0)`` to immediately
     release every claim of a known-dead fleet.
     """
-    return _as_queue(store).reset(failed=True, stale_ttl=stale_ttl)
+    return _existing_queue(store).reset(failed=True, stale_ttl=stale_ttl)

@@ -23,8 +23,8 @@ fingerprint therefore ignores the engine field).
 
 Each pending cell is one simulation (:func:`run_cell`) on
 every engine and every path — inline, in a pool worker or in a queue
-worker.  ``--engine batch`` runs each cell on ``FastEngine``
-(``BatchEngine`` is its per-cell subclass), so its values, store
+worker.  ``--engine batch`` runs each cell on ``BatchEngine``, which
+is ``FastEngine`` under the ``batch`` name, so its values, store
 writes and resume are the same as the fast engine's, bit for bit.
 A cell yields one value, its IPC, and the store records that value
 alone: which engine ran it is no part of it.

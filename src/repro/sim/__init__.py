@@ -1,6 +1,5 @@
 """Cycle-level multithreaded clustered-VLIW simulator."""
 
-from repro.sim.batch import run_workloads_batch
 from repro.sim.cache import Cache, CacheConfig, PerfectCache, make_cache
 from repro.sim.config import SimConfig, run_workload
 from repro.sim.core import MTCore

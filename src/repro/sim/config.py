@@ -39,7 +39,8 @@ class SimConfig:
     seed: int = 1
     rotate_priority: bool = True
     max_cycles: int | None = None
-    #: simulation engine ('reference', 'fast' or 'batch').  All are
+    #: simulation engine ('reference', 'fast' or 'batch', the fast
+    #: engine under the name older stores carry).  All are
     #: bit-identical in every reported statistic (enforced by the
     #: differential suite in tests/test_engine.py); the choice affects
     #: wall-clock speed only, so it is not part of the config's

@@ -46,10 +46,7 @@ Two per-cell implementations ship here, plus the ``batch`` name:
      precomputed pair table answering two-ready cycles in one predicate.
 
 * :class:`BatchEngine` — ``FastEngine`` under the ``batch`` name, which
-  stores, queue campaign specs and ``--engine batch`` carry.  Every cell
-  is one simulation on every path; the grouped lockstep simulator
-  (:func:`repro.sim.batch.run_workloads_batch`) is a library that no
-  program path calls.
+  stores, queue campaign specs and ``--engine batch`` carry.
 
 The differential suite (``tests/test_engine.py``) locks the engines
 together across the full scheme registry and every Table 2 workload.
@@ -655,10 +652,8 @@ class BatchEngine(FastEngine):
 
     ``--engine batch`` runs each cell here on every path — inline grids,
     ``--jobs N`` pool tasks and queue claims — so its values are the
-    fast engine's.  The grouped lockstep simulator
-    (:func:`repro.sim.batch.run_workloads_batch`) stays a library for
-    its differential suite and the benchmark harness; nothing in the
-    program calls it.
+    fast engine's.  The name stays because stores and queue campaign
+    specs carry it.
     """
 
     name = "batch"

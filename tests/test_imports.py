@@ -4,8 +4,9 @@
 on first use, so importing the Session API, running a paper experiment
 on a ``dir:`` store or the CLI's ``run`` verb loads neither the queue,
 the search and sweep layers nor the stdlib packages that only other
-paths need (a process pool, the SQLite driver, the native kernels'
-compiler and loader).
+paths need (a process pool, the SQLite driver).  Nothing loads numpy,
+``ctypes`` or the two modules ``repro.sim.batch`` and
+``repro.sim.native``, which only the campaign benchmark imports.
 """
 
 import json
@@ -26,6 +27,7 @@ UNNEEDED = (
     "sqlite3", "uuid", "socket", "difflib",
     "repro.eval.queue", "repro.eval.search", "repro.eval.sweep",
     "repro.eval.evaluator", "repro.eval.scaling",
+    "repro.sim.batch", "repro.sim.native", "numpy",
 )
 
 _PROBE = textwrap.dedent("""

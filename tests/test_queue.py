@@ -710,7 +710,6 @@ class TestDrainIdentity:
         byte-identical to a serial ``dir:`` run (which also proves
         cross-engine identity — the store fingerprint is deliberately
         engine-agnostic)."""
-        pytest.importorskip("numpy")
         spec = CampaignSpec(experiment="sweep2", scale=0.05,
                             workloads=("LLLL",), engine="batch")
         url = _url(tmp_path)
@@ -886,6 +885,31 @@ class TestQueueCli:
     def test_reset_failed_verb(self, tmp_path, capsys):
         from repro.eval.cli import main
         url = self._init(tmp_path, capsys)
+        assert main(["reset-failed", url]) == 0
+        assert "reopened 0 cells" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verb", ["queue-status", "reset-failed"])
+    def test_missing_queue_is_refused_and_not_created(
+            self, tmp_path, capsys, verb):
+        from repro.eval.cli import main
+        path = tmp_path / "nothere.db"
+        assert main([verb, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"no queue database at {str(path)!r}" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_store_written_without_init_still_reports(self, tmp_path,
+                                                      capsys):
+        """A ``--store queue:`` run needs no ``queue-init``; its file
+        is a queue the read and repair verbs accept."""
+        from repro.eval.cli import main
+        url = _url(tmp_path)
+        assert main(["sweep", "-t", "2", "--workloads", "LLLL",
+                     "--scale", "0.05", "--store", url]) == 0
+        capsys.readouterr()
+        assert main(["queue-status", url]) == 0
+        assert "cells: 0 total" in capsys.readouterr().out
         assert main(["reset-failed", url]) == 0
         assert "reopened 0 cells" in capsys.readouterr().out
 

@@ -75,20 +75,28 @@ class TestParallelEqualsSerial:
     def test_batch_grid_runs_each_cell_on_fast(self, machine, tmp_path,
                                                 monkeypatch):
         """An inline (``jobs=1``) ``engine="batch"`` grid runs each cell
-        as one fast-engine simulation, never a lockstep group: its
+        as one simulation on ``BatchEngine``, a ``FastEngine``: its
         values equal ``engine="fast"``'s and a ``jobs=2`` pool's, and
         the store records exactly those values."""
-        from repro.sim import batch
+        from repro.eval import runner
+        from repro.sim import BatchEngine, FastEngine
 
-        def no_groups(*args, **kwargs):
-            raise AssertionError("a grid ran a lockstep group")
+        assert issubclass(BatchEngine, FastEngine)
+        simulated = []
 
-        monkeypatch.setattr(batch, "run_workloads_batch", no_groups)
+        def one_simulation(programs, scheme, config):
+            simulated.append((scheme, config.engine))
+            return run_workload(programs, scheme, config)
+
+        run_workload = runner.run_workload
+        monkeypatch.setattr(runner, "run_workload", one_simulation)
         config = default_config(0.03, engine="batch")
         cells = [Cell("fig4", "workload", wl, s)
                  for wl in ("LLLL", "HHHH") for s in ("ST", "1S", "3SSS")]
         store = open_store(tmp_path / "r")
         inline = run_cells(cells, config, machine, store=store)
+        assert sorted(simulated) == sorted((c.scheme, "batch")
+                                           for c in cells)
         fast = run_cells(cells, dataclasses.replace(config, engine="fast"),
                          machine)
         pooled = run_cells(cells, config, machine, jobs=2)
