@@ -34,7 +34,7 @@ relative ``--tolerance`` band.
 The default grid covers the engines' operating envelope: the
 single-thread baseline (where burst execution and idle-cycle skipping
 dominate) and multithreaded Table 2 cells across scheme families (where
-the pair table and compiled scheme plans carry the load).
+the merge-and-issue walk carries the load).
 """
 
 from __future__ import annotations

@@ -33,9 +33,11 @@ workers can never select the same open cell — wrapped in an
 ``O_CREAT|O_EXCL`` lockfile (``PATH.db.lock``) because SQLite's own
 byte-range locks are unreliable on NFS, where fleet campaigns typically
 share the store; the lockfile also guards finish, enqueue and reset.
-The claim stamps the row's heartbeat and the finish stamps it again;
-nothing beats in between, so ``ttl`` must exceed the slowest cell.  A
-worker that dies mid-cell never finishes: its claim goes *stale*
+A claim may first record the value of its worker's previous cell, in
+the same transaction, so a drained cell costs one claim.  The claim
+stamps the row's heartbeat and recording the value stamps it again;
+nothing beats in between, so ``ttl`` must exceed the slowest cell.  If
+a worker dies before its value is recorded, its claim goes *stale*
 ``ttl`` seconds after the claim and the next claimer reclaims the cell
 (``attempt`` increments), or marks it failed once ``max_attempts``
 claims have been burned.  Release and fail act only on the caller's own
@@ -72,6 +74,14 @@ SCHEMA_VERSION = 2
 #: DESIGN.md §8 and docs/OPERATIONS.md).
 QUEUE_STATUSES = ("open", "claimed", "done", "failed")
 
+#: the open and the stale cells, each in claim order; it supersedes an
+#: index on ``status`` alone.
+_CLAIM_INDEX = (
+    "DROP INDEX IF EXISTS cells_by_status",
+    "CREATE INDEX IF NOT EXISTS cells_claim_order"
+    " ON cells (status, experiment, key)",
+)
+
 _SCHEMA = (
     "CREATE TABLE IF NOT EXISTS kv ("
     " key TEXT PRIMARY KEY, value TEXT NOT NULL)",
@@ -81,7 +91,7 @@ _SCHEMA = (
     " attempt INTEGER NOT NULL DEFAULT 0, error TEXT,"
     " heartbeat REAL, claimed_at REAL, meta TEXT,"
     " PRIMARY KEY (experiment, key))",
-    "CREATE INDEX IF NOT EXISTS cells_by_status ON cells (status)",
+    *_CLAIM_INDEX,
     "CREATE TABLE IF NOT EXISTS artifacts ("
     " experiment TEXT PRIMARY KEY, body TEXT NOT NULL)",
     "INSERT OR IGNORE INTO kv (key, value) "
@@ -111,11 +121,13 @@ _UPGRADE_V1 = (
     "DROP TABLE cell_meta",
 )
 
-#: the script that brings a file of each older version up to date.
-_MIGRATIONS = {0: _SCHEMA, 1: _UPGRADE_V1}
+#: the script that brings a file of each older version up to date (a
+#: version-2 file from before the claim index gets the index).
+_MIGRATIONS = {0: _SCHEMA, 1: _UPGRADE_V1, 2: _CLAIM_INDEX}
 
-#: the one value write (``save_cells`` and ``finish``): whatever the
-#: row's state was, a recorded value makes it done.
+#: the one value write (``save_cells``, ``finish`` and a claim that
+#: records its worker's previous cell): whatever the row's state was, a
+#: recorded value makes it done.
 _RECORD = (
     "INSERT INTO cells (experiment, key, value, status, heartbeat) "
     "VALUES (?, ?, ?, 'done', ?) ON CONFLICT (experiment, key) "
@@ -135,14 +147,31 @@ def _immediate(conn: sqlite3.Connection):
     conn.execute("COMMIT")
 
 
-def _schema_version(conn: sqlite3.Connection) -> int:
-    """The file's store schema: 0 when it holds no store tables yet."""
-    if conn.execute("SELECT 1 FROM sqlite_master "
-                    "WHERE type = 'table' AND name = 'kv'").fetchone() is None:
-        return 0
+#: the next runnable cell: the earlier of the first open cell and the
+#: first stale claim, each read in key order from ``cells_claim_order``.
+#: SQLite refuses a compound SELECT as a row value: select the rowid.
+_NEXT_CELL = (
+    "SELECT id FROM ("
+    "SELECT * FROM (SELECT rowid AS id, experiment, key FROM cells"
+    " WHERE status = 'open' ORDER BY experiment, key LIMIT 1)"
+    " UNION ALL "
+    "SELECT * FROM (SELECT rowid AS id, experiment, key FROM cells"
+    " WHERE status = 'claimed' AND heartbeat < ?"
+    " ORDER BY experiment, key LIMIT 1)"
+    ") ORDER BY experiment, key LIMIT 1")
+
+
+def _schema_state(conn: sqlite3.Connection) -> tuple[int, bool]:
+    """The file's store schema (0: no store tables yet), and whether it
+    has the claim index."""
+    names = {row[0] for row in conn.execute(
+        "SELECT name FROM sqlite_master "
+        "WHERE name IN ('kv', 'cells_claim_order')")}
+    if "kv" not in names:
+        return 0, False
     row = conn.execute(
         "SELECT value FROM kv WHERE key = 'schema'").fetchone()
-    return int(row[0]) if row else 1
+    return (int(row[0]) if row else 1), "cells_claim_order" in names
 
 
 class _FileLock:
@@ -223,26 +252,31 @@ class SQLiteBackend:
         self.path = str(path)
         self.url = f"{self.SCHEME}:{self.path}"
         self._conn: sqlite3.Connection | None = None
+        #: the file has the claim index (a write adds it when missing)
+        self._indexed = False
 
     def _connect(self, create: bool) -> sqlite3.Connection | None:
-        if self._conn is not None:
-            return self._conn
-        if not create and not os.path.exists(self.path):
-            return None
-        parent = os.path.dirname(self.path)
-        if create and parent:
-            os.makedirs(parent, exist_ok=True)
-        conn = sqlite3.connect(self.path, timeout=self.TIMEOUT,
-                               isolation_level=None)
+        conn = self._conn
+        if conn is not None and (self._indexed or not create):
+            return conn
+        if conn is None:
+            if not create and not os.path.exists(self.path):
+                return None
+            parent = os.path.dirname(self.path)
+            if create and parent:
+                os.makedirs(parent, exist_ok=True)
+            conn = sqlite3.connect(self.path, timeout=self.TIMEOUT,
+                                   isolation_level=None)
         try:
-            version = _schema_version(conn)
-            if create and version < SCHEMA_VERSION:
+            version, self._indexed = _schema_state(conn)
+            if create and not self._indexed and version <= SCHEMA_VERSION:
                 with _immediate(conn):
                     # re-read under the write lock: a concurrent opener
                     # may have created or upgraded the file meanwhile
-                    for statement in _MIGRATIONS.get(_schema_version(conn),
-                                                     ()):
+                    version, _ = _schema_state(conn)
+                    for statement in _MIGRATIONS.get(version, ()):
                         conn.execute(statement)
+                self._indexed = True
             elif version == 0:
                 conn.close()  # an empty file: nothing to read yet
                 return None
@@ -258,6 +292,7 @@ class SQLiteBackend:
                     f"this release reads version {SCHEMA_VERSION}{hint}")
         except BaseException:
             conn.close()
+            self._conn = None
             raise
         self._conn = conn
         return conn
@@ -367,7 +402,8 @@ class SQLiteBackend:
 
     # -- queue: claim / completion -----------------------------------------
     def claim(self, worker: str, *, ttl: float, max_attempts: int = 3,
-              now: float | None = None) -> dict | None:
+              now: float | None = None,
+              record: tuple | None = None) -> dict | None:
         """Atomically claim the next runnable cell for ``worker``.
 
         Runnable = status ``open``, or ``claimed`` with a heartbeat
@@ -377,10 +413,16 @@ class SQLiteBackend:
         failed instead of being retried forever.  Returns ``None`` when
         nothing is runnable, else ``{"experiment", "key", "cell",
         "attempt"}`` with ``cell`` as the serialized field dict.
+
+        ``record=(experiment, key, value)`` first records the worker's
+        previous cell, as :meth:`finish` would, in the same lockfile and
+        transaction, whether or not a cell is left to claim.
         """
         now = time.time() if now is None else now
         stale = now - ttl
         with self._lock(), _immediate(self._connect(create=True)) as conn:
+            if record is not None:
+                conn.execute(_RECORD, (*record, now))
             conn.execute(
                 "UPDATE cells SET status = 'failed', worker = NULL, "
                 "error = 'heartbeat expired after ' || attempt || "
@@ -389,10 +431,7 @@ class SQLiteBackend:
             rows = conn.execute(
                 "UPDATE cells SET status = 'claimed', worker = ?, "
                 "attempt = attempt + 1, heartbeat = ?, claimed_at = ?, "
-                "error = NULL WHERE (experiment, key) = ("
-                "SELECT experiment, key FROM cells WHERE status = 'open' "
-                "OR (status = 'claimed' AND heartbeat < ?) "
-                "ORDER BY experiment, key LIMIT 1) "
+                f"error = NULL WHERE rowid = ({_NEXT_CELL}) "
                 "RETURNING experiment, key, cell, attempt",
                 (worker, now, now, stale)).fetchall()
         if not rows:
@@ -407,7 +446,8 @@ class SQLiteBackend:
         One statement writes value, status and heartbeat, so a crash can
         never leave a done row without its value; at worst the cell is
         re-executed, which is idempotent because simulations are
-        deterministic.
+        deterministic.  A worker records its values through its next
+        :meth:`claim`, and finishes only the last one.
         """
         self._locked_write(_RECORD, (experiment, key, value, time.time()))
 

@@ -6,12 +6,14 @@ control flow: :func:`init_queue` turns the grid into a table of open
 cells inside a ``queue:PATH.db`` store, and any number of
 :func:`run_worker` processes — on any machines that can reach the file —
 claim cells atomically, execute them through the ordinary
-:func:`~repro.eval.runner.run_cell` path, and write values back.  The
-claim and the finish stamp the cell's heartbeat; nothing beats while a
-cell runs, so ``ttl`` must exceed the slowest cell.  A worker killed
-mid-cell never finishes; its claim goes stale ``ttl`` seconds after the
-claim and the next claimer picks the cell up, so a campaign *always*
-drains as long as one worker survives.
+:func:`~repro.eval.runner.run_cell` path, and write values back: each
+value rides in the worker's next claim transaction.  The claim and the
+recorded value stamp the cell's heartbeat; nothing beats while a cell
+runs, so ``ttl`` must exceed the slowest cell.  A worker killed before
+its cell's value is recorded leaves the cell claimed; the claim goes
+stale ``ttl`` seconds after it was made and the next claimer re-runs
+the cell, so a campaign *always* drains as long as one worker
+survives, and a crash costs a re-run, never a wrong value.
 
 Cell lifecycle (mirrored in DESIGN.md §8 and docs/OPERATIONS.md)::
 
@@ -343,8 +345,10 @@ def run_worker(store, *, worker_id: str | None = None,
     """Drain a queue campaign: claim, execute, write back.
 
     Each claim is one cell, on every engine: the worker runs it through
-    :func:`~repro.eval.runner.run_cell` and finishes it before it claims
-    the next.  The claim and the finish stamp the heartbeat.
+    :func:`~repro.eval.runner.run_cell` and hands its value to the next
+    claim, which records it in the same transaction; the last value
+    before ``max_cells`` stops the loop is finished on its own.  The
+    claim and the recorded value stamp the heartbeat.
 
     The worker loops until the queue holds no runnable *or in-flight*
     cells (``wait=True``, the default — in-flight cells of a worker
@@ -419,7 +423,8 @@ def run_worker(store, *, worker_id: str | None = None,
         entry = manifest.get("experiments", {}).get(experiment, {})
         return entry.get("search_status") == "done"
 
-    def run_one(claim: dict) -> None:
+    def run_one(claim: dict) -> tuple | None:
+        """Execute one claimed cell; the next claim's ``record``."""
         cell = Cell(**claim["cell"])
         try:
             value = run_cell(cell, config_for(cell), programs_for(cell))
@@ -440,17 +445,20 @@ def run_worker(store, *, worker_id: str | None = None,
                 if progress is not None:
                     progress(f"  {claim['key']}  FAILED: {error}")
         else:
-            backend.finish(claim["experiment"], claim["key"], value)
             report.executed += 1
             if progress is not None:
                 retry = (f"  [attempt {claim['attempt']}]"
                          if claim["attempt"] > 1 else "")
                 progress(f"  {claim['key']} = {value:.4f}{retry}")
+            return claim["experiment"], claim["key"], value
+        return None
 
     following = follow and spec.kind == "search"
+    record = None  # the cell just run, recorded by the next claim
     while max_cells is None or len(report.keys) < max_cells:
         claim = backend.claim(report.worker, ttl=ttl,
-                              max_attempts=max_attempts)
+                              max_attempts=max_attempts, record=record)
+        record = None
         if claim is None:
             counts = backend.queue_counts()
             idle = not (counts["open"] or counts["claimed"])
@@ -468,7 +476,9 @@ def run_worker(store, *, worker_id: str | None = None,
         if on_claim is not None:
             on_claim(Cell(**claim["cell"]), claim["attempt"])
         report.keys.append(claim["key"])
-        run_one(claim)
+        record = run_one(claim)
+    if record is not None:
+        backend.finish(*record)
     # the shared instruction-stream walks served this drain only
     release_walks()
     return report

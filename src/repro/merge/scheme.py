@@ -24,143 +24,39 @@ from repro.merge.packet import ExecPacket, MergeRules
 
 __all__ = ["DispatchTable", "Leaf", "Node", "ParCsmt", "Scheme", "SchemePlan"]
 
-# Compiled-plan opcodes: push a port's packet / merge the top two stack
-# entries with the SMT or CSMT rule.
-OP_PORT, OP_SMT, OP_CSMT = 0, 1, 2
-
 
 class SchemePlan:
-    """A scheme AST lowered to a flat postorder instruction list.
+    """A scheme's selection as one walk over its ports in port order.
 
-    ``steps`` is a tuple of ``(opcode, port)`` pairs: ``OP_PORT`` pushes
-    ``ports[port]``; ``OP_SMT``/``OP_CSMT`` pop the two top stack entries
-    (right above left) and push the merge outcome under exactly the
-    semantics of :meth:`Node.eval` — pass-through when one side is
-    invalid, the merged packet on success, the **left** (higher-priority)
-    input on failure.  Parallel CSMT blocks are lowered to their
-    functionally identical left-deep cascades.
+    Merge blocks pass an invalid input through and keep their left
+    (higher-priority) input when a merge fails, and a parallel CSMT
+    block is its left-deep serial cascade (paper, Section 3).  So a
+    cascade selects in one pass: the first ready port starts the word,
+    and each later one joins it if its *joint* - the block where it
+    meets the ports before it - accepts, and is dropped otherwise.  A
+    balanced tree is two such chains, its wired pairs, whose words meet
+    at the root.
 
-    The steps are never interpreted at run time; they are compiled into
-    the two fast paths below, each bit-identical to ``root.eval`` on
-    every input (see the property tests in
-    ``tests/test_merge_scheme.py``).
-
-    :attr:`select_ports` unrolls the postorder steps at compile time
-    into one straight-line Python function over flat ``(mask, packed)``
-    pairs (mask ``-1`` marks an invalid port) returning the selected
-    port indices.  The fast engine calls it whenever three or more
-    ports are ready — no packets, no stack, the machine's cap constants
-    inlined as literals.
-
-    :attr:`pair_table` precomputes the two-valid-ports case: with exactly
-    two valid leaves every other merge block passes through, so the
-    selection collapses to one predicate at their lowest common ancestor.
-    ``pair_table[(i, j)]`` (scan order ``i < j``) holds
-    ``(is_smt, first_port, second_port, sel_first, sel_both)`` — evaluate
-    the ancestor's predicate on the two packets and pick one of the two
-    precomputed selections.
+    ``joints[p]`` is ``True`` when port ``p`` joins by the SMT rule
+    (per-cluster operation sums within the caps, ``(caps_high -
+    packed) & high == high``), ``False`` by the CSMT rule (disjoint
+    cluster masks) and ``None`` when it starts a chain.  Ports
+    ``split..n-1`` form a tree's right chain, merged into the left
+    chain's word by the root's rule (``root_smt``); a cascade has
+    ``split == n`` and ``root_smt is None``.  The fast engine walks the
+    plan inline (property tests in ``tests/test_merge_scheme.py`` hold
+    its selection equal to ``root.eval``).
     """
 
-    __slots__ = ("scheme_name", "steps", "select_ports", "pair_table")
+    __slots__ = ("joints", "split", "root_smt", "caps_high", "high")
 
-    def __init__(self, scheme_name: str, steps: tuple, rules: MergeRules):
-        self.scheme_name = scheme_name
-        self.steps = steps
-        self.select_ports = _specialize(steps, rules)
-        self.pair_table = _pair_table(steps)
-
-    def __repr__(self) -> str:
-        return (f"<SchemePlan {self.scheme_name}: "
-                f"{len(self.steps)} steps>")
-
-
-def _specialize(steps: tuple, rules: MergeRules):
-    """Unroll a postorder plan into one generated Python function.
-
-    The returned function takes ``m0, p0, m1, p1, ...`` — one
-    ``(mask, packed)`` pair per port, mask ``-1`` for an invalid port —
-    and returns the tuple of selected port indices in priority order
-    (``None`` when every port is invalid).  Each merge step becomes a
-    literal transcription of :meth:`Node.eval`'s semantics on the SWAR
-    summaries, with the cap constants inlined.
-    """
-    n_ports = sum(1 for op, _ in steps if op == OP_PORT)
-    args = ", ".join(f"m{i}, p{i}" for i in range(n_ports))
-    lines = [f"def _select_ports({args}):"]
-    emit = lines.append
-    stack: list[tuple[str, str, str]] = []
-    tmp = 0
-    for op, port in steps:
-        if op == OP_PORT:
-            stack.append((f"m{port}", f"p{port}", f"({port},)"))
-            continue
-        bm, bp, bs = stack.pop()
-        am, ap, asel = stack.pop()
-        rm, rp, rs = f"rm{tmp}", f"rp{tmp}", f"rs{tmp}"
-        tmp += 1
-        emit(f"    if {am} < 0:")
-        emit(f"        {rm} = {bm}; {rp} = {bp}; {rs} = {bs}")
-        emit(f"    elif {bm} < 0:")
-        emit(f"        {rm} = {am}; {rp} = {ap}; {rs} = {asel}")
-        if op == OP_CSMT:
-            emit(f"    elif {am} & {bm}:")
-            emit(f"        {rm} = {am}; {rp} = {ap}; {rs} = {asel}")
-            emit("    else:")
-            emit(f"        {rm} = {am} | {bm}; {rp} = {ap} + {bp}; "
-                 f"{rs} = {asel} + {bs}")
-        else:
-            emit("    else:")
-            emit(f"        _t = {ap} + {bp}")
-            emit(f"        if ({rules.caps_high} - _t) & {rules.high} "
-                 f"== {rules.high}:")
-            emit(f"            {rm} = {am} | {bm}; {rp} = _t; "
-                 f"{rs} = {asel} + {bs}")
-            emit("        else:")
-            emit(f"            {rm} = {am}; {rp} = {ap}; {rs} = {asel}")
-        stack.append((rm, rp, rs))
-    root_m, _root_p, root_s = stack[0]
-    emit(f"    return {root_s} if {root_m} >= 0 else None")
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)  # noqa: S102 - self-generated source
-    return namespace["_select_ports"]
-
-
-def _pair_table(steps: tuple) -> dict:
-    """Collapse every two-valid-ports case to one precomputed predicate.
-
-    With exactly two valid leaves, every merge step sees at most one
-    valid input — and passes it through — except the single step where
-    both meet (their lowest common ancestor in the original AST).  The
-    selection is therefore ``sel_both`` if that step's predicate accepts
-    the pair and ``sel_first`` (its left, higher-priority side) if not.
-    Found symbolically: run the plan on tokens for the pair and record
-    the one step that combines two valid operands.
-    """
-    n_ports = sum(1 for op, _ in steps if op == OP_PORT)
-    table: dict = {}
-    for i in range(n_ports):
-        for j in range(n_ports):
-            if i == j:
-                continue
-            stack: list = []
-            meet = None
-            for op, port in steps:
-                if op == OP_PORT:
-                    stack.append((port,) if port in (i, j) else None)
-                    continue
-                b = stack.pop()
-                a = stack.pop()
-                if a is None:
-                    stack.append(b)
-                elif b is None:
-                    stack.append(a)
-                else:
-                    meet = (op, a, b)
-                    stack.append(a + b)
-            op, first, second = meet
-            table[i, j] = (op == OP_SMT, first[0], second[0],
-                           first, first + second)
-    return table
+    def __init__(self, joints: tuple, split: int, root_smt: bool | None,
+                 rules: MergeRules):
+        self.joints = joints
+        self.split = split
+        self.root_smt = root_smt
+        self.caps_high = rules.caps_high
+        self.high = rules.high
 
 
 class DispatchTable(dict):
@@ -170,15 +66,8 @@ class DispatchTable(dict):
     (``perms[rot][p]`` is the context slot bound to port ``p``) and bit
     ``c`` of ``mask`` marks context slot ``c`` ready.  Each entry is a
     triple ``(k, perm, ready)``: the number of ready ports, the port
-    binding of that rotation step, and the ready ports in port order —
-
-    * ``k == 1``: ``ready = (p,)``, which every merge block passes
-      through, so it is already the selection;
-    * ``k == 2``: ``ready = (i, j)``, the key of the pair's
-      :attr:`SchemePlan.pair_table` entry;
-    * ``k >= 3``: ``ready = ((2 * p, perm[p]), ...)``: the argument
-      offset of each ready port's ``(mask, packed)`` pair in
-      :attr:`SchemePlan.select_ports` and the context bound there.
+    binding of that rotation step, and the ready ports in port order -
+    the order a :class:`SchemePlan` walks them in.
 
     Nothing in an entry depends on the merge tree, so every scheme with
     the same rotation schedule shares one table (:meth:`Scheme.dispatch`).
@@ -204,8 +93,6 @@ class DispatchTable(dict):
         """Build the entry for rotation step ``rot`` and ready ``mask``."""
         perm = self.perms[rot]
         ready = tuple(p for p, c in enumerate(perm) if mask >> c & 1)
-        if len(ready) >= 3:
-            return (len(ready), perm, tuple((p + p, perm[p]) for p in ready))
         return (len(ready), perm, ready)
 
 
@@ -214,19 +101,20 @@ class DispatchTable(dict):
 _DISPATCH: dict = {}
 
 
-def _lower(node, steps: list) -> None:
-    """Postorder-lower one AST node onto ``steps``."""
+def _chain(node, links: list) -> bool:
+    """Append a left-deep chain's ``(port, joint)`` links in leaf order;
+    False if ``node`` is no chain (a right input is itself a merge)."""
     if node.kind == "leaf":
-        steps.append((OP_PORT, node.port))
-    elif node.kind == "node":
-        _lower(node.left, steps)
-        _lower(node.right, steps)
-        steps.append((OP_SMT if node.merge_kind == "S" else OP_CSMT, -1))
+        links.append((node.port, None))
+        return True
+    if node.kind == "node":
+        head, tail = node.left, [(node.right, node.merge_kind == "S")]
     else:  # parallel CSMT == left-deep serial cascade (paper, Section 3)
-        _lower(node.children[0], steps)
-        for child in node.children[1:]:
-            _lower(child, steps)
-            steps.append((OP_CSMT, -1))
+        head, tail = node.children[0], [(c, False) for c in node.children[1:]]
+    if not _chain(head, links) or any(c.kind != "leaf" for c, _ in tail):
+        return False
+    links += [(c.port, is_smt) for c, is_smt in tail]
+    return True
 
 
 class Leaf:
@@ -355,7 +243,7 @@ class Scheme:
         return self.root.eval(ports, rules)
 
     def compile(self, rules: MergeRules) -> SchemePlan:
-        """Lower the AST once into a flat :class:`SchemePlan`.
+        """Lower the AST once into its :class:`SchemePlan` walk.
 
         Plans are cached per merge-rule constants (one machine's caps =
         one plan), so repeated calls from the simulator are free.
@@ -363,11 +251,28 @@ class Scheme:
         key = (rules.caps_high, rules.high)
         plan = self._plans.get(key)
         if plan is None:
-            steps: list = []
-            _lower(self.root, steps)
-            plan = SchemePlan(self.name, tuple(steps), rules)
-            self._plans[key] = plan
+            plan = self._plans[key] = SchemePlan(*self._lower(), rules)
         return plan
+
+    def _lower(self) -> tuple:
+        """``(joints, split, root_smt)`` of the scheme's walk: one chain
+        for a cascade, one per wired pair for a balanced tree - every
+        scheme the grammar names, with its leaves in port order."""
+        root = self.root
+        links: list = []
+        if self._is_balanced_tree():
+            _chain(root.left, links)
+            _chain(root.right, links)
+            split, root_smt = 2, root.merge_kind == "S"
+        elif _chain(root, links):
+            split, root_smt = self.n_ports, None
+        else:
+            links = []
+        if [p for p, _ in links] != list(range(self.n_ports)):
+            raise ValueError(
+                f"scheme {self.name!r}: {root!r} is neither a cascade nor "
+                f"a balanced tree over ports in order, so it has no walk")
+        return tuple(j for _, j in links), split, root_smt
 
     def _is_balanced_tree(self) -> bool:
         r = self.root

@@ -26,8 +26,7 @@ Two per-cell implementations ship here, plus the ``batch`` name:
      and builds a bitmask of ready contexts; ``(rotation, mask)``
      indexes a :class:`~repro.merge.scheme.DispatchTable` shared by
      every scheme with the same rotation schedule and filled on demand,
-     which yields the ready ports in port order (for two ready ports,
-     directly the plan's pair-table key);
+     which yields the ready ports in port order;
   3. *idle-cycle skipping*: when every resident thread is stalled the
      engine jumps straight to the earliest ``stall_until`` and accounts
      the skipped cycles as vertical waste in one step;
@@ -40,10 +39,12 @@ Two per-cell implementations ship here, plus the ``batch`` name:
      resumes the walk's per-record ``lazy()`` generator.  The list is
      the walk shared by every stream of the same program, thread and
      seed, so the cells of a grid generate each thread's records once;
-  5. *compiled scheme plans*: :meth:`~repro.merge.scheme.Scheme.compile`
-     lowers the merge AST once into a generated straight-line selection
-     function over the ready ports' packed summaries, with a
-     precomputed pair table answering two-ready cycles in one predicate.
+  5. *merge and issue in one walk*:
+     :meth:`~repro.merge.scheme.Scheme.compile` lowers the merge AST
+     once into the S/C rule of each port's joint.  Each cycle walks the
+     ready ports in port order, merges each into the word built so far
+     by its joint's rule and issues it at once; a balanced tree's right
+     pair issues only after the root's test.
 
 * :class:`BatchEngine` — ``FastEngine`` under the ``batch`` name, which
   stores, queue campaign specs and ``--engine batch`` carry.
@@ -214,10 +215,12 @@ class FastEngine(Engine):
       other resident thread stays stalled for a few more cycles, a
       dedicated single-thread loop runs until the earliest of those
       stalls expires (*solo burst*).
-    * *pair table*: with exactly two ready ports the selection is one
-      precomputed ancestor predicate over the two instructions'
-      ``(mask, packed)``; three or more ready ports evaluate the
-      compiled plan.
+    * *walk*: each ready port, in port order, joins the word built so
+      far if its joint's rule accepts the ``(mask, packed)`` summaries
+      and issues at once: a merge block keeps its left input on failure,
+      so a taken port is never dropped, and acceptance reads no issue
+      side effect, so issue and dcache order are the reference's.  A
+      tree's right pair issues only after the root's test.
     * *guaranteed-hit caches*: an access to the cache line touched by
       the immediately preceding access of the same cache is a hit and
       leaves the true-LRU state unchanged (the MRU entry is re-appended
@@ -249,8 +252,8 @@ class FastEngine(Engine):
         rotate = core.rotate and n > 1
         plan = core.scheme.compile(core.rules)
         batch = self.STREAM_BATCH
-        caps_high = core.rules.caps_high
-        high = core.rules.high
+        caps_high = plan.caps_high
+        high = plan.high
         limit = (1 << 62) if instr_limit is None else instr_limit
 
         # cache specialization: known types get the guaranteed-hit fast
@@ -329,12 +332,15 @@ class FastEngine(Engine):
 
         # ready-mask dispatch: key = (rot << n) | mask
         table = core.scheme.dispatch()
-        pair_table = plan.pair_table
         rkey = rot << n
         rstep = 1 << n
         rwrap = n_perms << n
-        select_ports = plan.select_ports
-        blank = [-1, 0] * n
+        # a tree's right-chain ports start with no joint, which sends the
+        # walk to the root's test
+        joints = plan.joints
+        split = plan.split
+        root_smt = plan.root_smt
+        walk_joints = joints[:split] + (None,) * (n - split)
 
         # local stats accumulators, flushed at every exit.
         i_hits = i_misses = d_hits = d_misses = 0
@@ -531,30 +537,59 @@ class FastEngine(Engine):
                     if finished:
                         break
                     continue
-                sel = ready
-            elif nready == 2:
-                # two ready ports: one precomputed ancestor predicate
-                is_smt, pa, pb, sel_first, sel_both = pair_table[ready]
-                ma = pend[perm[pa]][0]
-                mb = pend[perm[pb]][0]
-                if is_smt:
-                    s = ma.packed + mb.packed
-                    sel = sel_both if (caps_high - s) & high == high \
-                        else sel_first
-                else:
-                    sel = sel_first if ma.mask & mb.mask else sel_both
-            else:
-                args = blank[:]
-                for pp, c in ready:
-                    mop = pend[c][0]
-                    args[pp] = mop.mask
-                    args[pp + 1] = mop.packed
-                sel = select_ports(*args)
 
-            # ---------------------------------------------------- issue
-            for p in sel:
+            # -------------------------------------------- merge + issue
+            # each ready port joins the word if its joint accepts, and
+            # issues at once
+            wm = -1
+            width = 0
+            jt = walk_joints
+            for p in ready:
                 c = perm[p]
                 mop, taken, addrs, _ = pend[c]
+                if wm < 0:
+                    wm = mop.mask
+                    wp = mop.packed
+                    if p >= split:  # the root passes a lone right chain
+                        jt = joints
+                else:
+                    j = jt[p]
+                    if j:  # SMT: per-cluster op counts within the caps
+                        s = wp + mop.packed
+                        if (caps_high - s) & high != high:
+                            continue
+                        wp = s
+                        wm |= mop.mask
+                    elif j is not None:  # CSMT: disjoint clusters
+                        if wm & mop.mask:
+                            continue
+                        wm |= mop.mask
+                        wp += mop.packed
+                    else:
+                        # p starts a tree's right chain after left ports:
+                        # the root takes the chain's whole word or none
+                        bm = mop.mask
+                        bp = mop.packed
+                        for q in ready[ready.index(p) + 1:]:
+                            m = pend[perm[q]][0]
+                            if joints[q]:
+                                s = bp + m.packed
+                                if (caps_high - s) & high == high:
+                                    bp = s
+                                    bm |= m.mask
+                            elif not bm & m.mask:
+                                bm |= m.mask
+                                bp += m.packed
+                        if root_smt:
+                            if (caps_high - wp - bp) & high != high:
+                                break
+                        elif wm & bm:
+                            break
+                        # accepted: the rest walks the chain's own joints
+                        jt = joints
+                        wm = mop.mask
+                        wp = mop.packed
+                width += 1
                 pend[c] = None
                 ops[c] += mop.n_ops
                 t_instrs = instrs[c] = instrs[c] + 1
@@ -602,7 +637,7 @@ class FastEngine(Engine):
                     stall[c] = cycle + 1 + pen
                 if t_instrs >= limit:
                     finished = True
-            hist[len(sel)] += 1
+            hist[width] += 1
 
             cycle += 1
             if rotate:

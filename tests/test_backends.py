@@ -753,6 +753,36 @@ class TestVersion1Files:
         assert (stale["key"], stale["attempt"]) == ("d", 2)
         assert backend.claim("w3", ttl=10, now=111.0) is None
 
+    def test_version2_file_gets_the_claim_index_on_first_write(
+            self, kind, tmp_path):
+        """A version-2 file from before the claim index (which had an
+        index on ``status`` alone) is read as it is and indexed by its
+        first write, with no version bump."""
+        backend = _backend(kind, tmp_path, "v2")
+        backend.enqueue("x", {"b": {"n": 2}, "a": {"n": 1}})
+        backend.close()
+        conn = sqlite3.connect(backend.path)
+        conn.executescript(
+            "DROP INDEX cells_claim_order;"
+            "CREATE INDEX cells_by_status ON cells (status);")
+        conn.close()
+
+        def indexes():
+            conn = sqlite3.connect(backend.path)
+            names = {r[0] for r in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index' "
+                "AND sql IS NOT NULL")}
+            conn.close()
+            return names
+
+        # one backend reads first, as a worker loading its campaign does
+        store = open_backend(backend.url)
+        assert store.queue_counts()["open"] == 2
+        assert indexes() == {"cells_by_status"}
+        assert store.claim("w", ttl=10)["key"] == "a"
+        assert indexes() == {"cells_claim_order"}
+        store.close()
+
     def test_newer_version_is_refused(self, kind, tmp_path):
         backend = _backend(kind, tmp_path, "new")
         backend.ensure()

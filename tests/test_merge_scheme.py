@@ -1,18 +1,23 @@
 """Scheme AST semantics: priority, pass-through, commit losses,
-parallel/serial functional equivalence, compiled-plan equivalence."""
+parallel/serial functional equivalence, the plan's walk equivalence."""
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.arch import paper_machine
-from repro.merge import PAPER_SCHEMES, get_scheme
-from repro.merge.packet import MergeRules
+from repro.merge import get_scheme
+from repro.merge.packet import ExecPacket, MergeRules
 from repro.merge.scheme import DispatchTable, Leaf, Node, ParCsmt, Scheme
-from tests.conftest import packet
+from repro.sim.cache import PerfectCache
+from repro.sim.core import MTCore
+from tests.conftest import mop_from_counts, packet
 
 MACHINE = paper_machine()
 RULES = MergeRules(MACHINE)
+TREES = ("2CC", "2CS", "2SC", "2SS")
 
 
 def _narrow(port, cluster=0):
@@ -253,49 +258,109 @@ class TestParallelSerialProperty:
                 (b.mask, b.packed, b.n_ops, b.ports)
 
 
+def _walk_schemes():
+    """Half the draws from every scheme the sweeps name at 2..8 threads,
+    half from the balanced trees, ``ST``, ``1S`` and a 16-port cascade
+    of mixed joints."""
+    from repro.eval.sweep import enumerate_names
+    from repro.merge.parser import parse_scheme
+
+    names = [name for n in range(2, 9) for name in enumerate_names(n)]
+    few = ["ST", "1S", *TREES, parse_scheme("15" + "SC" * 7 + "S")]
+    return st.one_of(st.sampled_from(names), st.sampled_from(few))
+
+
+class _IssueLog:
+    """A data cache that always hits and logs the addresses it sees."""
+
+    miss_penalty = 0
+
+    def __init__(self):
+        self.order = []
+
+    def access(self, addr: int) -> bool:
+        self.order.append(addr)
+        return True
+
+
+def _walk(scheme, mops) -> tuple | None:
+    """Run the fast engine's walk for one cycle with ``mops[p]`` pending
+    on port ``p`` (``None``: the port's thread is stalled) and return
+    the ports it issued, in issue order: each pending record touches the
+    data cache once, at its port's number."""
+    log = _IssueLog()
+    core = MTCore(MACHINE, scheme, PerfectCache(), log, engine="fast")
+    threads = []
+    for p, mop in enumerate(mops):
+        ready = mop is not None
+        threads.append(SimpleNamespace(
+            stream=SimpleNamespace(_buf=[], _pos=0), packet=None,
+            pending=(mop, False, (p,), None) if ready else None,
+            stall_until=0 if ready else 1, issued_instrs=0, issued_ops=0,
+            icache_misses=0, dcache_misses=0, taken_branches=0))
+    core.set_contexts(threads)
+    core.run(1)
+    return tuple(log.order) or None
+
+
 class TestCompiledPlanProperty:
-    """Satellite property: the compiled plan (the specialized
-    straight-line function and the pair table) must match ``root.eval``
-    on the same inputs for every registry scheme."""
+    """Satellite property: the fast engine's walk over the ready ports
+    must issue exactly the ports ``root.eval`` merges, in its order, on
+    random ready subsets and words."""
 
     @staticmethod
     @st.composite
-    def registry_case(draw):
-        name = draw(st.sampled_from(["ST", "1S"] + PAPER_SCHEMES))
-        scheme = get_scheme(name)
-        return scheme, _ports_for(draw, scheme.n_ports)
+    def walk_case(draw):
+        scheme = draw(_walk_schemes())
+        if isinstance(scheme, str):
+            scheme = get_scheme(scheme)
+        mops = []
+        for _ in range(scheme.n_ports):
+            clusters = draw(st.dictionaries(
+                st.integers(0, 3), st.tuples(
+                    st.integers(0, 3), st.integers(0, 1), st.just(0),
+                    st.just(0)), max_size=4))
+            ready = draw(st.booleans()) and any(map(any, clusters.values()))
+            mops.append(mop_from_counts(MACHINE, clusters) if ready
+                        else None)
+        return scheme, mops
 
-    @given(registry_case())
-    def test_specialized_function_matches_eval(self, case):
-        scheme, ports = case
-        plan = scheme.compile(RULES)
-        flat = []
-        for p in ports:
-            flat += [p.mask, p.packed] if p is not None else [-1, 0]
-        got = plan.select_ports(*flat)
+    @given(walk_case())
+    def test_walk_matches_eval(self, case):
+        scheme, mops = case
+        ports = [None if m is None else ExecPacket.from_mop(m, p)
+                 for p, m in enumerate(mops)]
         expect = scheme.root.eval(ports, RULES)
-        if expect is None:
-            assert got is None
-        else:
-            assert got == expect.ports
+        assert _walk(scheme, mops) == (None if expect is None
+                                       else expect.ports)
 
-    @given(registry_case())
-    def test_pair_table_matches_eval(self, case):
-        scheme, ports = case
-        valid = [i for i, p in enumerate(ports) if p is not None]
-        if len(valid) != 2:
-            return
-        i, j = valid
-        plan = scheme.compile(RULES)
-        is_smt, pa, pb, sel_first, sel_both = plan.pair_table[i, j]
-        a, b = ports[pa], ports[pb]
-        if is_smt:
-            s = a.packed + b.packed
-            got = sel_both if (RULES.caps_high - s) & RULES.high \
-                == RULES.high else sel_first
-        else:
-            got = sel_first if a.mask & b.mask else sel_both
-        assert got == scheme.root.eval(ports, RULES).ports
+    @pytest.mark.parametrize("name", TREES)
+    def test_tree_walk_matches_eval_on_every_word_pattern(self, name):
+        """Every pattern of a few words over a tree's four ports: the
+        root takes the right pair's whole word or none of it, so a
+        right-pair port must not issue before that test."""
+        import itertools
+
+        scheme = get_scheme(name)
+        pool = [None] + [mop_from_counts(MACHINE, c) for c in (
+            {0: (1, 0, 0, 0)}, {0: (3, 0, 0, 0)}, {1: (2, 0, 0, 0)},
+            {0: (2, 0, 0, 0), 1: (2, 0, 0, 0)}, {1: (0, 1, 0, 0)})]
+        for mops in itertools.product(pool, repeat=4):
+            ports = [None if m is None else ExecPacket.from_mop(m, p)
+                     for p, m in enumerate(mops)]
+            expect = scheme.root.eval(ports, RULES)
+            assert _walk(scheme, mops) == (None if expect is None
+                                           else expect.ports), mops
+
+    @pytest.mark.parametrize("root", [
+        Node("S", Leaf(1), Leaf(0)),
+        ParCsmt([Leaf(0), Node("S", Leaf(1), Leaf(2)), Leaf(3)]),
+        Node("C", Node("S", Leaf(0), Node("C", Leaf(1), Leaf(2))),
+             Leaf(3)),
+    ])
+    def test_shapes_without_a_walk_are_refused(self, root):
+        with pytest.raises(ValueError, match="no walk"):
+            Scheme("odd", root).compile(RULES)
 
     def test_plan_cached_per_rules(self):
         scheme = get_scheme("2SC3")
@@ -305,8 +370,7 @@ class TestCompiledPlanProperty:
 
 def _dispatch_schemes() -> list:
     """Every rotation schedule: a cyclic one for 1..8 ports (a few
-    cascade shapes each, so pair entries cover both merge kinds) and
-    the wired balanced trees."""
+    cascade shapes each) and the wired balanced trees."""
     from repro.eval.sweep import enumerate_names
 
     names = ["ST"]
@@ -322,7 +386,6 @@ class TestDispatchTable:
     @pytest.mark.parametrize("name", _dispatch_schemes())
     def test_every_rotation_and_mask_matches_scan(self, name):
         scheme = get_scheme(name)
-        plan = scheme.compile(RULES)
         perms = scheme.port_permutations()
         assert scheme.dispatch().perms is perms
         n = scheme.n_ports
@@ -334,19 +397,8 @@ class TestDispatchTable:
                 ports = tuple(p for p in range(n) if mask & (1 << perm[p]))
                 entry = table[(rot << n) | mask]
                 assert entry == table.entry(rot, mask)
-                k, got_perm, ready = entry
-                assert k == len(ports) and got_perm is perm
-                if k >= 3:
-                    assert ready == tuple((2 * p, perm[p]) for p in ports)
-                    continue
-                assert ready == ports
-                if k == 2:
-                    # the engine reads the plan's pair entry for the two
-                    # ready ports and maps its ports through ``perm``
-                    _, pa, pb, _, both = plan.pair_table[ready]
-                    assert sorted(perm[p] for p in both) == \
-                        sorted(perm[p] for p in ports)
-                    assert {pa, pb} == set(ports)
+                assert entry == (len(ports), perm, ports)
+                assert entry[1] is perm
         assert len(table) == len(perms) * ((1 << n) - 1)
 
     def test_schemes_share_one_table_per_rotation_schedule(self):

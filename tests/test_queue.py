@@ -530,6 +530,22 @@ class TestWorkerLoop:
         assert run_worker(url, max_cells=1).executed == 1
         assert queue_status(url).counts["open"] == 1
 
+    def test_max_cells_worker_leaves_no_cell_claimed(
+            self, tmp_path, monkeypatch):
+        """The value of a worker's last cell has no next claim to ride
+        in, so the worker finishes it on its own before it stops."""
+        spec = CampaignSpec(experiment="sweep2", scale=0.05)  # 18 cells
+        url = _url(tmp_path)
+        init_queue(url, spec)
+        monkeypatch.setattr("repro.eval.queue.run_cell",
+                            lambda cell, config, programs: 1.0)
+        for k in (1, 5):
+            report = run_worker(url, max_cells=k)
+            assert report.executed == k
+            counts = queue_status(url).counts
+            assert counts["claimed"] == 0
+        assert counts["done"] == 6 and counts["open"] == 12
+
     def test_follow_worker_only_exits_on_its_own_search_done(
             self, tmp_path):
         """Regression: a stale ``search_status: done`` left by an
@@ -726,6 +742,54 @@ class TestDrainIdentity:
                          store=f"dir:{tmp_path / 'ref'}").sweep(2, ["LLLL"])
         assert via_queue.to_json() == serial.to_json()
 
+    def test_worker_killed_before_its_next_claim_costs_one_rerun(
+            self, tmp_path):
+        """A worker SIGKILLed after a cell's simulation returned, before
+        the claim that would record its value: the cell stays claimed
+        with no value, a second worker reclaims it after ``ttl``, and
+        the drained queue equals a serial ``dir:`` run byte for byte."""
+        import signal
+        import subprocess
+
+        import repro
+
+        url = _url(tmp_path)
+        init_queue(url, SPEC)
+        script = (
+            "import os, signal, sys\n"
+            "from repro.eval.backends.sqlite import SQLiteBackend\n"
+            "from repro.eval.queue import run_worker\n"
+            "claim = SQLiteBackend.claim\n"
+            "def claim_or_die(self, worker, *, record=None, **kw):\n"
+            "    if record is not None:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return claim(self, worker, record=record, **kw)\n"
+            "SQLiteBackend.claim = claim_or_die\n"
+            "run_worker(sys.argv[1], worker_id='doomed')\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script, url],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        backend = QueueBackend(str(tmp_path / "camp.db"))
+        (row,) = backend.queue_rows("claimed")
+        assert row["worker"] == "doomed" and row["attempt"] == 1
+        assert backend.load_cells(SPEC.experiment) == {}
+        assert backend.queue_counts()["open"] == 1
+        backend.close()
+        time.sleep(0.06)
+        report = run_worker(url, worker_id="rescuer", ttl=0.05, poll=0.01)
+        assert report.executed == 2 and report.reclaimed == 1
+        assert row["key"] in report.keys
+        assert queue_status(url).drained
+        config = default_config(0.05)
+        via_queue = Session(config=config, store=url).sweep(2, ["LLLL"])
+        serial = Session(config=config,
+                         store=f"dir:{tmp_path / 'ref'}").sweep(2, ["LLLL"])
+        assert via_queue.to_json() == serial.to_json()
+
     def test_fingerprint_guard_rejects_mismatched_resume(self, tmp_path):
         url = _url(tmp_path)
         init_queue(url, SPEC)
@@ -792,12 +856,14 @@ class TestStatementBudget:
     @pytest.mark.parametrize("engine", ["fast", "batch"])
     def test_drain_costs_exactly_five_statements_per_cell(
             self, tmp_path, monkeypatch, engine):
-        """Per executed cell: a 4-statement claim (BEGIN IMMEDIATE,
-        stale-fail UPDATE, claiming UPDATE ... RETURNING, COMMIT) and a
-        1-statement finish; 8 more for opening the store, the final
-        empty claim and the idle check.  The lockfile is taken once per
-        claim and once per finish.  A batch campaign drains cell by cell
-        too, at exactly the same cost, and no row gets metadata."""
+        """Per executed cell: one 5-statement claim (BEGIN IMMEDIATE,
+        the upsert recording the previous cell's value, stale-fail
+        UPDATE, claiming UPDATE ... RETURNING, COMMIT).  The first claim
+        records nothing and the final, empty claim records the last
+        value, so with opening the store and the idle check that is 8
+        more.  The lockfile is taken once per claim and never for a
+        finish.  A batch campaign drains cell by cell too, at exactly
+        the same cost, and no row gets metadata."""
         spec = CampaignSpec(experiment="sweep2", scale=0.05,
                             engine=engine)  # 18 cells
         url = _url(tmp_path)
@@ -826,7 +892,8 @@ class TestStatementBudget:
         assert report.executed == cells == 18
         assert len(statements) == 5 * cells + 8, statements
         claims = cells + 1  # the last claim finds the queue empty
-        assert len(locks) == claims + cells
+        assert len(locks) == claims
+        assert sum("ON CONFLICT" in sql for sql in statements) == cells
         monkeypatch.undo()
         backend = QueueBackend(str(tmp_path / "camp.db"))
         assert backend.load_cell_meta(spec.experiment) == {}
