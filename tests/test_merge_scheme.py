@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.arch import paper_machine
-from repro.merge import get_scheme
+from repro.merge import PAPER_SCHEMES, get_scheme
 from repro.merge.packet import ExecPacket, MergeRules
 from repro.merge.scheme import DispatchTable, Leaf, Node, ParCsmt, Scheme
 from repro.sim.cache import PerfectCache
@@ -309,30 +309,77 @@ class TestCompiledPlanProperty:
     random ready subsets and words."""
 
     @staticmethod
+    def _draw_mops(draw, n_ports, ready=None):
+        """A random word on each port; ``ready`` (default: a coin per
+        port) names the ports that have one."""
+        mops = []
+        for p in range(n_ports):
+            clusters = draw(st.dictionaries(
+                st.integers(0, 3), st.tuples(
+                    st.integers(0, 3), st.integers(0, 1), st.just(0),
+                    st.just(0)), min_size=ready is not None, max_size=4))
+            if ready is None:
+                on = draw(st.booleans())
+            else:
+                on = p in ready
+                if on and not any(map(any, clusters.values())):
+                    clusters = {0: (1, 0, 0, 0)}
+            on = on and any(map(any, clusters.values()))
+            mops.append(mop_from_counts(MACHINE, clusters) if on else None)
+        return mops
+
+    @staticmethod
     @st.composite
     def walk_case(draw):
         scheme = draw(_walk_schemes())
         if isinstance(scheme, str):
             scheme = get_scheme(scheme)
-        mops = []
-        for _ in range(scheme.n_ports):
-            clusters = draw(st.dictionaries(
-                st.integers(0, 3), st.tuples(
-                    st.integers(0, 3), st.integers(0, 1), st.just(0),
-                    st.just(0)), max_size=4))
-            ready = draw(st.booleans()) and any(map(any, clusters.values()))
-            mops.append(mop_from_counts(MACHINE, clusters) if ready
-                        else None)
-        return scheme, mops
+        return scheme, TestCompiledPlanProperty._draw_mops(
+            draw, scheme.n_ports)
 
-    @given(walk_case())
-    def test_walk_matches_eval(self, case):
-        scheme, mops = case
+    @staticmethod
+    @st.composite
+    def registry_case(draw):
+        scheme = get_scheme(draw(st.sampled_from(["ST", "1S"]
+                                                 + PAPER_SCHEMES)))
+        return scheme, TestCompiledPlanProperty._draw_mops(
+            draw, scheme.n_ports)
+
+    @staticmethod
+    @st.composite
+    def pair_case(draw):
+        """A registry scheme with exactly two ready ports."""
+        scheme = get_scheme(draw(st.sampled_from(PAPER_SCHEMES)))
+        ready = draw(st.sets(st.integers(0, scheme.n_ports - 1),
+                             min_size=2, max_size=2))
+        return scheme, TestCompiledPlanProperty._draw_mops(
+            draw, scheme.n_ports, ready)
+
+    @staticmethod
+    def _assert_walk_matches_eval(scheme, mops):
         ports = [None if m is None else ExecPacket.from_mop(m, p)
                  for p, m in enumerate(mops)]
         expect = scheme.root.eval(ports, RULES)
         assert _walk(scheme, mops) == (None if expect is None
                                        else expect.ports)
+
+    @given(walk_case())
+    def test_walk_matches_eval(self, case):
+        self._assert_walk_matches_eval(*case)
+
+    @given(registry_case())
+    def test_specialized_function_matches_eval(self, case):
+        """The plan each registry scheme compiles to issues what
+        ``root.eval`` merges."""
+        self._assert_walk_matches_eval(*case)
+
+    @given(pair_case())
+    def test_pair_table_matches_eval(self, case):
+        """Cycles with exactly two ready ports, for every registry
+        scheme: both merge kinds at every joint a pair can meet."""
+        scheme, mops = case
+        assert sum(m is not None for m in mops) == 2
+        self._assert_walk_matches_eval(scheme, mops)
 
     @pytest.mark.parametrize("name", TREES)
     def test_tree_walk_matches_eval_on_every_word_pattern(self, name):
